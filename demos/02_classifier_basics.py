@@ -13,10 +13,9 @@ from mahashot import (
     AssignmentRule,
     Task,
     bregman_divergence,
-    classify,
+    classify_many,
     estimate_unweighted,
     mahalanobis_sq,
-    pool_task_embedding,
 )
 
 rng = np.random.default_rng(3)
@@ -41,16 +40,15 @@ for k, p in enumerate(params):
     print(f"  class {k}: n_k={int(p.count):3d}  lam={lam:.3f}  jitter={p.q_factor.jitter}")
 
 rule = AssignmentRule("mahalanobis-softmax")
-for z, want in zip(task.query_z, task.truth):
-    probs = classify(rule, params, z)
+for probs, want in zip(classify_many(rule, params, task.query_z), task.truth):
     print(f"query near class {want}: probs={np.round(probs, 3)} -> argmax {probs.argmax()}")
 
 # The GMM variant adds a volume term and a class prior. With unequal
 # covariances it can disagree with the plain rule.
 gmm = AssignmentRule("gmm")
-z = np.array([2.0, 2.5])
-print("plain rule:", np.round(classify(rule, params, z), 3))
-print("gmm rule:  ", np.round(classify(gmm, params, z), 3))
+z = np.array([[2.0, 2.5]])
+print("plain rule:", np.round(classify_many(rule, params, z)[0], 3))
+print("gmm rule:  ", np.round(classify_many(gmm, params, z)[0], 3))
 
 # The divergence generated by F(z) = z^T Q^-1 z is exactly the squared
 # Mahalanobis distance, which is why the soft assignment updates are a
@@ -61,9 +59,3 @@ print(
     f"bregman={bregman_divergence(f, a, b):.12f}  "
     f"mahalanobis^2={mahalanobis_sq(f, a, b):.12f}"
 )
-
-# Pooled task statistics: the support mean is class-balanced, so the
-# 25-shot class does not dominate it.
-pooled = pool_task_embedding(task)
-print("class-balanced support mean:", np.round(pooled.e_s, 3))
-print("query mean:                 ", np.round(pooled.e_q, 3))

@@ -4,18 +4,18 @@ The variable protocol draws a way uniformly, reserves up to 10 query
 examples per class first, draws a uniform shot from what remains, and
 rescales shots proportionally when their sum would exceed the 500-example
 support cap. The fixed protocol is the classic K-way L-shot setting.
-Episode i is a pure function of (seed, i), so streams are restartable,
-skippable and parallel-safe.
+Episode i is a pure function of (seed, i), so episodes can be drawn in
+any order, skipped, redrawn, or split across workers.
 """
 
 import numpy as np
 
 from mahashot import (
-    EpisodeStream,
     FixedSamplerConfig,
     SyntheticSpec,
     VariableSamplerConfig,
     generate_synthetic,
+    sample_fixed,
     sample_variable,
 )
 
@@ -46,17 +46,13 @@ capped = sum(1 for s in sizes if s == 500)
 print(f"  episodes hitting the 500 cap: {capped}")
 
 # --- fixed K-way L-shot -------------------------------------------------
-stream = EpisodeStream(
-    dataset=ds, config=FixedSamplerConfig(way=5, shot=3, query_per_class=10, seed=12)
-)
-task = next(stream)
+fixed = FixedSamplerConfig(way=5, shot=3, query_per_class=10, seed=12)
+task = sample_fixed(ds, fixed, 0)
 print("\nfixed 5-way 3-shot episode:")
 print(f"  support {task.n_support} rows, query {task.n_query} rows")
 print(f"  classes: {task.class_names}")
 
-# Streams can be skipped ahead and reproduce the same episodes on demand.
-stream.skip(10)
-idx = stream.cursor
-ahead = next(stream)
-again = stream.task(idx)
-print(f"  episode {idx} reproducible: {np.array_equal(ahead.support_z, again.support_z)}")
+# Any episode can be drawn directly, with no walk through the ones before it.
+ahead = sample_fixed(ds, fixed, 11)
+again = sample_fixed(ds, fixed, 11)
+print(f"  episode 11 reproducible: {np.array_equal(ahead.support_z, again.support_z)}")

@@ -13,12 +13,10 @@ from .classification import (
     AssignmentRule,
     argmax_labels,
     bregman_divergence,
-    classify,
     classify_many,
 )
 from .data import (
     EmbeddingDataset,
-    LabeledEmbedding,
     SyntheticSpec,
     Task,
     generate_synthetic,
@@ -30,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     EmptyInput,
-    EmptyQuery,
     FactorizationFailed,
     InsufficientClasses,
     InsufficientExamples,
@@ -43,11 +40,9 @@ from .errors import (
 from .estimation import (
     ClassParams,
     Responsibilities,
-    TaskEmbedding,
     TaskStats,
     estimate_unweighted,
     estimate_weighted,
-    pool_task_embedding,
 )
 from .harness import (
     AblationGrid,
@@ -66,11 +61,9 @@ from .numerics import (
     mahalanobis_sq_many,
     solve_spd,
     spd_factorize,
-    stable_softmax,
 )
 from .refinement import RefineConfig, RefineTrace, classify_task, refine
 from .sampler import (
-    EpisodeStream,
     FixedSamplerConfig,
     VariableSamplerConfig,
     episode_rng,
@@ -92,8 +85,6 @@ __all__ = [
     "EmbeddingDataset",
     "EmptyClass",
     "EmptyInput",
-    "EmptyQuery",
-    "EpisodeStream",
     "EvalReport",
     "FactorizationFailed",
     "FixedSamplerConfig",
@@ -102,7 +93,6 @@ __all__ = [
     "InsufficientClasses",
     "InsufficientExamples",
     "InvalidSpec",
-    "LabeledEmbedding",
     "MAHALANOBIS_SOFTMAX",
     "MahashotError",
     "NonFiniteInput",
@@ -114,12 +104,10 @@ __all__ = [
     "SpdFactor",
     "SyntheticSpec",
     "Task",
-    "TaskEmbedding",
     "TaskStats",
     "VariableSamplerConfig",
     "argmax_labels",
     "bregman_divergence",
-    "classify",
     "classify_many",
     "classify_task",
     "emit_report",
@@ -131,7 +119,6 @@ __all__ = [
     "load_dataset",
     "mahalanobis_sq",
     "mahalanobis_sq_many",
-    "pool_task_embedding",
     "refine",
     "render_report",
     "run_ablation",
@@ -140,6 +127,5 @@ __all__ = [
     "sample_variable",
     "solve_spd",
     "spd_factorize",
-    "stable_softmax",
     "write_dataset",
 ]

@@ -85,14 +85,6 @@ def classify_many(
     return softmax_rows(logits)
 
 
-def classify(rule: AssignmentRule, params: list[ClassParams], z: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single embedding; shape (K,)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch(f"z must be a vector, got shape {z.shape}")
-    return classify_many(rule, params, z[None, :])[0]
-
-
 def argmax_labels(probs: np.ndarray) -> np.ndarray:
     """Row argmax with the lowest class index winning ties."""
     probs = np.asarray(probs)

@@ -5,7 +5,9 @@ Subcommands: ``gen-synthetic`` (write a synthetic embedding dataset),
 report), ``ablate`` (config-grid sweep), ``selftest`` (fast invariant
 checks).
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error (``InvalidSpec`` or any
+other ``ValueError``), 3 data error (any other ``MahashotError``, or an
+``OSError``).
 """
 
 from __future__ import annotations
@@ -18,46 +20,11 @@ import sys
 
 from . import data as ds_io
 from .classification import GMM, MAHALANOBIS_SOFTMAX, AssignmentRule
-from .errors import (
-    DegenerateClass,
-    DimensionMismatch,
-    EmptyClass,
-    EmptyInput,
-    EmptyQuery,
-    FactorizationFailed,
-    InsufficientClasses,
-    InsufficientExamples,
-    InvalidSpec,
-    NonFiniteInput,
-    NotSymmetric,
-    ParseError,
-)
-from .harness import (
-    AblationSpec,
-    EpisodeFailure,
-    evaluate,
-    render_report,
-    run_ablation,
-)
+from .errors import InvalidSpec, MahashotError
+from .harness import AblationSpec, evaluate, render_report, run_ablation
 from .refinement import RefineConfig
 from .sampler import FixedSamplerConfig, VariableSamplerConfig, sample_task
 from .selftest import run_selftest
-
-_DATA_ERRORS = (
-    ParseError,
-    EmptyClass,
-    DimensionMismatch,
-    NonFiniteInput,
-    NotSymmetric,
-    InsufficientClasses,
-    InsufficientExamples,
-    EpisodeFailure,
-    FactorizationFailed,
-    DegenerateClass,
-    EmptyInput,
-    EmptyQuery,
-    OSError,
-)
 
 
 def _int_list(text) -> tuple[int, ...]:
@@ -327,10 +294,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except InvalidSpec as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (MahashotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidSpec, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,13 +37,6 @@ _MAGIC = b"EMB1"
 CSV_FORMAT = "csv"
 BINARY_FORMAT = "packed-binary"
 DATASET_FORMATS = (CSV_FORMAT, BINARY_FORMAT)
-
-
-class LabeledEmbedding(NamedTuple):
-    """One support example: embedding ``z`` and its task-local class id ``y``."""
-
-    z: np.ndarray
-    y: int
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,6 @@ class Task:
     @property
     def n_query(self) -> int:
         return self.query_z.shape[0]
-
-    def support(self) -> Iterator[LabeledEmbedding]:
-        for z, y in zip(self.support_z, self.support_y):
-            yield LabeledEmbedding(z, int(y))
 
     def class_counts(self) -> np.ndarray:
         """Support shot per class, shape (way,)."""

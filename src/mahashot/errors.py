@@ -51,10 +51,6 @@ class InvalidSpec(MahashotError, ValueError):
     """A synthetic-dataset or sampler configuration violates its invariants."""
 
 
-class EmptyQuery(MahashotError, ValueError):
-    """The query set is empty where a query statistic is required."""
-
-
 class DegenerateClass(MahashotError, ArithmeticError):
     """A soft class count collapsed below the usable threshold."""
 

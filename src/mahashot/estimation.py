@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Task
-from .errors import DegenerateClass, DimensionMismatch, EmptyQuery
-from .numerics import DEFAULT_JITTER, SpdFactor, spd_factorize
+from .errors import DegenerateClass, DimensionMismatch
+from .numerics import SpdFactor, spd_factorize
 
 # Soft class counts below this are useless as divisors; estimation raises
 # DegenerateClass and the refinement loop treats it as a stop signal.
@@ -50,18 +50,6 @@ class TaskStats:
 
     mu: np.ndarray  # (d,)
     sigma: np.ndarray  # (d, d)
-
-
-@dataclass(frozen=True)
-class TaskEmbedding:
-    """Pooled task statistics: class-balanced support mean and query mean.
-
-    Exposed for logging and inspection; nothing in the classifier path
-    consumes them.
-    """
-
-    e_s: np.ndarray
-    e_q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,10 +91,6 @@ class Responsibilities:
         return cls(w=np.vstack([support, query_probs]), n_support=task.n_support)
 
     @property
-    def n_rows(self) -> int:
-        return self.w.shape[0]
-
-    @property
     def way(self) -> int:
         return self.w.shape[1]
 
@@ -118,22 +102,18 @@ class Responsibilities:
     def query(self) -> np.ndarray:
         return self.w[self.n_support :]
 
-    @property
-    def row_kind(self) -> tuple[str, ...]:
-        return ("support",) * self.n_support + ("query",) * (self.n_rows - self.n_support)
 
-
-def _blend(
-    sigma_k: np.ndarray, sigma: np.ndarray, count: float, beta: float
-) -> np.ndarray:
+def _class_params(
+    mu_k: np.ndarray, sigma_k: np.ndarray, sigma: np.ndarray, count: float, beta: float
+) -> ClassParams:
+    """Shrinkage blend of one class's scatter with the task's, factorized."""
     lam = count / (count + 1.0)
     q = lam * sigma_k + (1.0 - lam) * sigma + beta * np.eye(sigma.shape[0])
-    return 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
+    q = 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
+    return ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q), count=count, sigma_k=sigma_k)
 
 
-def estimate_unweighted(
-    task: Task, beta: float = 1.0, jitter_schedule=DEFAULT_JITTER
-) -> tuple[list[ClassParams], TaskStats]:
+def estimate_unweighted(task: Task, beta: float = 1.0) -> tuple[list[ClassParams], TaskStats]:
     """Support-only estimates of class means and regularized covariances.
 
     Returns one :class:`ClassParams` per class (in label order) and the
@@ -156,24 +136,12 @@ def estimate_unweighted(
         mu_k = rows.mean(axis=0)
         centered_k = rows - mu_k
         sigma_k = centered_k.T @ centered_k / n_k
-        q = _blend(sigma_k, sigma, float(n_k), beta)
-        params.append(
-            ClassParams(
-                mu=mu_k,
-                q=q,
-                q_factor=spd_factorize(q, jitter_schedule),
-                count=float(n_k),
-                sigma_k=sigma_k,
-            )
-        )
+        params.append(_class_params(mu_k, sigma_k, sigma, float(n_k), beta))
     return params, TaskStats(mu=mu_task, sigma=sigma)
 
 
 def estimate_weighted(
-    task: Task,
-    resp: Responsibilities,
-    beta: float = 1.0,
-    jitter_schedule=DEFAULT_JITTER,
+    task: Task, resp: Responsibilities, beta: float = 1.0
 ) -> tuple[list[ClassParams], TaskStats]:
     """Responsibility-weighted estimates over support and query rows jointly.
 
@@ -220,28 +188,6 @@ def estimate_weighted(
         mu_k = (wk @ z) / counts[k]
         centered_k = z - mu_k
         sigma_k = (centered_k * wk[:, None]).T @ centered_k / counts[k]
-        q = _blend(sigma_k, sigma, float(counts[k]), beta)
-        params.append(
-            ClassParams(
-                mu=mu_k,
-                q=q,
-                q_factor=spd_factorize(q, jitter_schedule),
-                count=float(counts[k]),
-                sigma_k=sigma_k,
-            )
-        )
+        params.append(_class_params(mu_k, sigma_k, sigma, float(counts[k]), beta))
     return params, TaskStats(mu=mu_task, sigma=sigma)
 
-
-def pool_task_embedding(task: Task) -> TaskEmbedding:
-    """Class-balanced support mean and plain query mean.
-
-    The support side averages per-class means so a 100-shot class counts
-    no more than a 1-shot one; the query side is a plain mean.
-    """
-    if task.n_query == 0:
-        raise EmptyQuery("query mean is undefined for an empty query set")
-    class_means = np.stack(
-        [task.support_z[task.support_y == k].mean(axis=0) for k in range(task.way)]
-    )
-    return TaskEmbedding(e_s=class_means.mean(axis=0), e_q=task.query_z.mean(axis=0))

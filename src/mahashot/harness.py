@@ -36,6 +36,9 @@ from .sampler import SamplerConfig, sample_task
 
 REPORT_FORMATS = ("json", "csv")
 
+# Shots above this share one ">N" recall bin.
+SHOT_BIN_MAX = 10
+
 GRID_CSV_HEADER = (
     "min_steps",
     "max_steps",
@@ -168,16 +171,11 @@ def _collect(
     return sorted(outcomes, key=lambda o: o.index)
 
 
-def _bin_label(shot: int, shot_bin_max: int) -> str:
-    return str(shot) if shot <= shot_bin_max else f">{shot_bin_max}"
+def _bin_label(shot: int) -> str:
+    return str(shot) if shot <= SHOT_BIN_MAX else f">{SHOT_BIN_MAX}"
 
 
-def _aggregate(
-    outcomes: list[EpisodeOutcome],
-    method: str,
-    config: dict,
-    shot_bin_max: int,
-) -> EvalReport:
+def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> EvalReport:
     acc = np.array([o.accuracy for o in outcomes])
     mean = float(acc.mean())
     ci95 = 0.0 if acc.size < 2 else float(1.96 * acc.std(ddof=1) / math.sqrt(acc.size))
@@ -186,7 +184,7 @@ def _aggregate(
     bin_count: dict[str, int] = {}
     for o in outcomes:
         for shot, recall in o.shot_recalls:
-            label = _bin_label(shot, shot_bin_max)
+            label = _bin_label(shot)
             bin_sum[label] = bin_sum.get(label, 0.0) + recall
             bin_count[label] = bin_count.get(label, 0) + 1
 
@@ -231,34 +229,26 @@ def evaluate(
     sampler_cfg: SamplerConfig,
     refine_cfg: RefineConfig,
     n_episodes: int,
-    seed: int | None = None,
     *,
     parallelism: int = 1,
-    method: str | None = None,
-    shot_bin_max: int = 10,
 ) -> EvalReport:
     """Evaluate the refinement classifier over ``n_episodes`` seeded episodes.
 
-    ``seed`` overrides the sampler config's seed when given, which is how
-    paired comparisons share their episode stream. Reports are
-    deterministic for fixed inputs at any ``parallelism``.
+    Episode i is drawn from the sampler config's seed, so paired
+    comparisons share their episode stream by sharing that seed. Reports
+    are deterministic for fixed inputs at any ``parallelism``.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    if seed is not None:
-        sampler_cfg = dataclasses.replace(sampler_cfg, seed=seed)
     outcomes = _collect(ds, sampler_cfg, refine_cfg, list(range(n_episodes)), parallelism)
-    if method is None:
-        method = (
-            f"{refine_cfg.rule.kind}(min={refine_cfg.min_steps},max={refine_cfg.max_steps})"
-        )
+    method = f"{refine_cfg.rule.kind}(min={refine_cfg.min_steps},max={refine_cfg.max_steps})"
     config = {
         "sampler": dataclasses.asdict(sampler_cfg),
         "refine": _refine_config_echo(refine_cfg),
         "episodes": n_episodes,
-        "shot_bin_max": shot_bin_max,
+        "shot_bin_max": SHOT_BIN_MAX,
     }
-    return _aggregate(outcomes, method, config, shot_bin_max)
+    return _aggregate(outcomes, method, config)
 
 
 def run_ablation(
@@ -267,7 +257,6 @@ def run_ablation(
     spec: AblationSpec,
     *,
     parallelism: int = 1,
-    shot_bin_max: int = 10,
 ) -> AblationGrid:
     """One evaluation per cell of the axis product, on paired episode seeds.
 
@@ -298,10 +287,10 @@ def run_ablation(
             "episodes": spec.episodes,
             "repeats": spec.repeats,
             "seed": spec.seed,
-            "shot_bin_max": shot_bin_max,
+            "shot_bin_max": SHOT_BIN_MAX,
         }
         method = f"{rule_kind}(min={mn},max={mx},q={qpc})"
-        report = _aggregate(outcomes, method, config, shot_bin_max)
+        report = _aggregate(outcomes, method, config)
         cells.append(
             GridCell(
                 min_steps=mn, max_steps=mx, rule=rule_kind, query_per_class=qpc, report=report

@@ -133,19 +133,6 @@ def solve_spd(f: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     return solve_triangular(f.lower.T, y, lower=False, check_finite=False)
 
 
-def stable_softmax(logits) -> np.ndarray:
-    """Softmax with max-subtraction, invariant under constant shifts."""
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d array of logits, got shape {x.shape}")
-    if x.size == 0:
-        raise EmptyInput("softmax of an empty logit list")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("logits contain NaN or Inf")
-    shifted = np.exp(x - np.max(x))
-    return shifted / np.sum(shifted)
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for an (m, K) logit matrix."""
     x = np.asarray(logits, dtype=np.float64)

@@ -190,31 +190,3 @@ def sample_task(ds: EmbeddingDataset, cfg: SamplerConfig, index: int) -> Task:
         return sample_fixed(ds, cfg, index)
     raise InvalidSpec(f"unknown sampler config type {type(cfg).__name__}")
 
-
-@dataclass
-class EpisodeStream:
-    """Restartable, skippable stream of tasks; episode i depends only on
-    (config.seed, i)."""
-
-    dataset: EmbeddingDataset
-    config: SamplerConfig
-    cursor: int = 0
-
-    def task(self, index: int) -> Task:
-        return sample_task(self.dataset, self.config, index)
-
-    def __next__(self) -> Task:
-        t = self.task(self.cursor)
-        self.cursor += 1
-        return t
-
-    def __iter__(self):
-        return self
-
-    def skip(self, n: int) -> "EpisodeStream":
-        self.cursor += n
-        return self
-
-    def reset(self) -> "EpisodeStream":
-        self.cursor = 0
-        return self

@@ -9,7 +9,6 @@ from mahashot import (
     DimensionMismatch,
     argmax_labels,
     bregman_divergence,
-    classify,
     classify_many,
     mahalanobis_sq,
     spd_factorize,
@@ -33,17 +32,17 @@ def params_at(mus, qs):
 class TestMahalanobisSoftmaxRule:
     def test_single_class(self):
         params = params_at([[0.0, 0.0]], [np.eye(2)])
-        np.testing.assert_array_equal(classify(SOFT, params, np.array([5.0, 5.0])), [1.0])
+        np.testing.assert_array_equal(classify_many(SOFT, params, [[5.0, 5.0]]), [[1.0]])
 
     def test_equidistant_symmetry(self):
         params = params_at([[0.0, 0.0], [4.0, 0.0]], [np.eye(2)] * 2)
         np.testing.assert_allclose(
-            classify(SOFT, params, np.array([2.0, 0.0])), [0.5, 0.5], atol=1e-15
+            classify_many(SOFT, params, [[2.0, 0.0]]), [[0.5, 0.5]], atol=1e-15
         )
 
     def test_closer_class_closed_form(self):
         params = params_at([[0.0, 0.0], [4.0, 0.0]], [np.eye(2)] * 2)
-        probs = classify(SOFT, params, np.array([1.0, 0.0]))
+        probs = classify_many(SOFT, params, [[1.0, 0.0]])[0]
         expected = math.exp(-1) / (math.exp(-1) + math.exp(-9))
         assert probs[0] == pytest.approx(expected, abs=1e-12)
         assert probs[0] == pytest.approx(0.999665, abs=5e-7)
@@ -54,26 +53,26 @@ class TestMahalanobisSoftmaxRule:
             params = params_at(
                 rng.standard_normal((k, d)) * 3, [random_spd(rng, d) for _ in range(k)]
             )
-            probs = classify(SOFT, params, rng.standard_normal(d) * 3)
+            probs = classify_many(SOFT, params, rng.standard_normal((4, d)) * 3)
             assert np.all(probs >= 0)
-            assert abs(probs.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
     def test_translation_equivariance(self, rng):
         d = 3
         params = params_at(
             rng.standard_normal((3, d)), [random_spd(rng, d) for _ in range(3)]
         )
-        z = rng.standard_normal(d)
+        z = rng.standard_normal((5, d))
         shift = rng.standard_normal(d) * 10
         moved = params_at([p.mu + shift for p in params], [p.q for p in params])
         np.testing.assert_allclose(
-            classify(SOFT, params, z), classify(SOFT, moved, z + shift), atol=1e-12
+            classify_many(SOFT, params, z), classify_many(SOFT, moved, z + shift), atol=1e-12
         )
 
     def test_dimension_mismatch(self):
         params = params_at([[0.0, 0.0]], [np.eye(2)])
         with pytest.raises(DimensionMismatch):
-            classify(SOFT, params, np.zeros(3))
+            classify_many(SOFT, params, np.zeros((1, 3)))
 
 
 class TestGmmRule:
@@ -87,7 +86,7 @@ class TestGmmRule:
             params = params_at(mus, qs)
             z = rng.standard_normal(d) * 2
             np.testing.assert_allclose(
-                classify(GMM_UNIFORM, params, z),
+                classify_many(GMM_UNIFORM, params, z[None])[0],
                 naive_probs(list(mus), qs, z, rule="gmm"),
                 atol=1e-10,
             )
@@ -101,7 +100,7 @@ class TestGmmRule:
         rule = AssignmentRule("gmm", prior=prior)
         z = np.array([0.5, 0.5])
         np.testing.assert_allclose(
-            classify(rule, params_at(mus, qs), z),
+            classify_many(rule, params_at(mus, qs), z[None])[0],
             naive_probs([np.array(m) for m in mus], qs, z, rule="gmm", prior=np.array(prior)),
             atol=1e-12,
         )
@@ -114,15 +113,11 @@ class TestGmmRule:
         q = random_spd(rng, d)
         mus = rng.standard_normal((k, d)) * 2
         params = params_at(mus, [q] * k)
-        agree = 0
-        differ_probs = 0
-        for _ in range(500):
-            z = rng.standard_normal(d) * 3
-            p_soft = classify(SOFT, params, z)
-            p_gmm = classify(GMM_UNIFORM, params, z)
-            agree += int(np.argmax(p_soft) == np.argmax(p_gmm))
-            differ_probs += int(not np.allclose(p_soft, p_gmm))
-        assert agree == 500
+        z = rng.standard_normal((500, d)) * 3
+        p_soft = classify_many(SOFT, params, z)
+        p_gmm = classify_many(GMM_UNIFORM, params, z)
+        np.testing.assert_array_equal(p_soft.argmax(axis=1), p_gmm.argmax(axis=1))
+        differ_probs = sum(not np.allclose(a, b) for a, b in zip(p_soft, p_gmm))
         assert differ_probs > 400  # probabilities genuinely differ
 
     def test_invalid_prior(self):
@@ -135,7 +130,7 @@ class TestGmmRule:
         params = params_at([[0.0], [1.0]], [np.eye(1), np.eye(1)])
         rule = AssignmentRule("gmm", prior=(0.2, 0.3, 0.5))
         with pytest.raises(DimensionMismatch):
-            classify(rule, params, np.zeros(1))
+            classify_many(rule, params, np.zeros((1, 1)))
 
 
 class TestArgmaxTieBreak:
@@ -180,7 +175,8 @@ class TestBatchedClassify:
         pts = rng.standard_normal((8, 4))
         batch = classify_many(SOFT, params, pts)
         for i in range(8):
-            np.testing.assert_allclose(batch[i], classify(SOFT, params, pts[i]), atol=1e-15)
+            single = classify_many(SOFT, params, pts[i : i + 1])[0]
+            np.testing.assert_allclose(batch[i], single, atol=1e-15)
 
     def test_empty_block(self, rng):
         params = params_at([[0.0, 0.0]], [np.eye(2)])

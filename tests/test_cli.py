@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from mahashot import load_dataset
+from mahashot import cli, errors, load_dataset
 from mahashot.cli import main
+from mahashot.harness import EpisodeFailure
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +181,47 @@ class TestSelftest:
         )
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout
+
+
+# One instance of every concrete package error, plus the builtins main()
+# maps, with the exit code each must produce.
+EXIT_CODES = [
+    (errors.InvalidSpec("bad spec"), 2),
+    (ValueError("bad value"), 2),
+    (errors.DimensionMismatch("shape"), 3),
+    (errors.NotSymmetric("asymmetric"), 3),
+    (errors.FactorizationFailed("cholesky"), 3),
+    (errors.EmptyInput("empty"), 3),
+    (errors.NonFiniteInput("nan"), 3),
+    (errors.ParseError("garbled", line=3), 3),
+    (errors.EmptyClass("no rows"), 3),
+    (errors.DegenerateClass(1, 0.0), 3),
+    (errors.InsufficientClasses("few classes"), 3),
+    (errors.InsufficientExamples("few rows"), 3),
+    (EpisodeFailure(4, errors.EmptyClass("no rows")), 3),
+    (OSError("disk"), 3),
+]
+
+
+def _concrete_errors(base):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code", EXIT_CODES, ids=[type(e).__name__ for e, _ in EXIT_CODES]
+    )
+    def test_error_maps_to_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_selftest", fail)
+        assert main(["selftest"]) == code
+        prefix = "config error: " if code == 2 else "error: "
+        assert capsys.readouterr().err.startswith(prefix)
+
+    def test_every_package_error_is_listed(self):
+        listed = {type(e) for e, _ in EXIT_CODES}
+        assert set(_concrete_errors(errors.MahashotError)) <= listed

@@ -4,15 +4,13 @@ import pytest
 from mahashot import (
     DegenerateClass,
     DimensionMismatch,
-    EmptyQuery,
     Responsibilities,
     Task,
     estimate_unweighted,
     estimate_weighted,
-    pool_task_embedding,
 )
 from conftest import make_task, without_query
-from oracles import naive_pool, naive_unweighted, naive_weighted
+from oracles import naive_unweighted, naive_weighted
 
 
 def uniform_resp(task):
@@ -179,11 +177,6 @@ class TestPermutationInvariance:
             np.testing.assert_allclose(a.mu, b.mu, atol=1e-12)
             np.testing.assert_allclose(a.q, b.q, atol=1e-12)
 
-        e1 = pool_task_embedding(task)
-        e2 = pool_task_embedding(shuffled)
-        np.testing.assert_allclose(e1.e_s, e2.e_s, atol=1e-12)
-        np.testing.assert_allclose(e1.e_q, e2.e_q, atol=1e-12)
-
         r1 = estimate_weighted(task, uniform_resp(task))[0]
         r2 = estimate_weighted(shuffled, uniform_resp(shuffled))[0]
         for a, b in zip(r1, r2):
@@ -213,41 +206,6 @@ class TestAffineEquivariance:
                 np.testing.assert_allclose(mvd.q, a @ orig.q @ a.T, rtol=1e-8, atol=1e-10)
 
 
-class TestPooling:
-    def test_class_imbalance_does_not_bias_support_mean(self):
-        task = Task(
-            support_z=np.vstack([np.tile([1.0, 0.0], (10, 1)), [[0.0, 1.0]]]),
-            support_y=np.array([0] * 10 + [1]),
-            query_z=np.array([[2.0, 2.0]]),
-            truth=np.array([0]),
-            way=2,
-        )
-        pooled = pool_task_embedding(task)
-        np.testing.assert_allclose(pooled.e_s, [0.5, 0.5], atol=1e-15)
-
-    def test_singleton_query_mean(self):
-        task = Task(
-            support_z=np.eye(2),
-            support_y=np.array([0, 1]),
-            query_z=np.array([[2.0, 2.0]]),
-            truth=np.array([0]),
-            way=2,
-        )
-        np.testing.assert_allclose(pool_task_embedding(task).e_q, [2.0, 2.0])
-
-    def test_matches_bruteforce_oracle(self, rng):
-        for _ in range(20):
-            task = make_task(rng, way=4, d=5, queries=7)
-            pooled = pool_task_embedding(task)
-            e_s, e_q = naive_pool(task)
-            np.testing.assert_allclose(pooled.e_s, e_s, atol=1e-12)
-            np.testing.assert_allclose(pooled.e_q, e_q, atol=1e-12)
-
-    def test_empty_query_raises(self, rng):
-        with pytest.raises(EmptyQuery):
-            pool_task_embedding(without_query(make_task(rng)))
-
-
 class TestResponsibilities:
     def test_build_pins_support_one_hot(self, rng):
         task = make_task(rng, way=3, d=3, queries=4)
@@ -255,7 +213,7 @@ class TestResponsibilities:
         expected = np.zeros((task.n_support, 3))
         expected[np.arange(task.n_support), task.support_y] = 1.0
         np.testing.assert_array_equal(resp.support, expected)
-        assert resp.row_kind == ("support",) * task.n_support + ("query",) * 4
+        assert resp.query.shape == (4, 3)
 
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -35,13 +36,13 @@ class TestAggregation:
             EpisodeOutcome(i, acc, 1, False, ())
             for i, acc in enumerate([1.0, 0.0, 1.0, 1.0])
         ]
-        report = _aggregate(outcomes, "m", {}, 10)
+        report = _aggregate(outcomes, "m", {})
         assert report.mean_accuracy == pytest.approx(0.75)
         # sample standard deviation is 0.5, so 1.96 * 0.5 / sqrt(4) = 0.49
         assert report.ci95 == pytest.approx(0.49)
 
     def test_single_episode_has_zero_ci(self):
-        report = _aggregate([EpisodeOutcome(0, 0.5, 1, True, ())], "m", {}, 10)
+        report = _aggregate([EpisodeOutcome(0, 0.5, 1, True, ())], "m", {})
         assert report.ci95 == 0.0
 
     def test_recall_bins_and_histogram(self):
@@ -49,7 +50,7 @@ class TestAggregation:
             EpisodeOutcome(0, 1.0, 2, True, ((1, 1.0), (3, 0.5))),
             EpisodeOutcome(1, 0.5, 4, False, ((1, 0.0), (12, 1.0))),
         ]
-        report = _aggregate(outcomes, "m", {}, 10)
+        report = _aggregate(outcomes, "m", {})
         assert report.recall_bins["1"] == (0.5, 2)
         assert report.recall_bins["3"] == (0.5, 1)
         assert report.recall_bins[">10"] == (1.0, 1)
@@ -87,9 +88,10 @@ class TestEvaluate:
             assert 0.0 <= mean_recall <= 1.0
 
     def test_seed_override_changes_episodes(self, small_ds):
-        r0 = evaluate(small_ds, FIXED, REFINE, n_episodes=6, seed=100)
-        r1 = evaluate(small_ds, FIXED, REFINE, n_episodes=6, seed=101)
-        r0_again = evaluate(small_ds, FIXED, REFINE, n_episodes=6, seed=100)
+        s100, s101 = (dataclasses.replace(FIXED, seed=s) for s in (100, 101))
+        r0 = evaluate(small_ds, s100, REFINE, n_episodes=6)
+        r1 = evaluate(small_ds, s101, REFINE, n_episodes=6)
+        r0_again = evaluate(small_ds, s100, REFINE, n_episodes=6)
         assert r0.per_episode_accuracy == r0_again.per_episode_accuracy
         assert r0.per_episode_accuracy != r1.per_episode_accuracy
 
@@ -118,7 +120,7 @@ class TestAblation:
         )
         grid = run_ablation(small_ds, FIXED, spec)
         assert len(grid.cells) == 1
-        direct = evaluate(small_ds, FIXED, REFINE, n_episodes=8, seed=9)
+        direct = evaluate(small_ds, dataclasses.replace(FIXED, seed=9), REFINE, n_episodes=8)
         assert grid.cells[0].report.per_episode_accuracy == direct.per_episode_accuracy
 
     def test_cells_share_episode_seeds(self, small_ds):
@@ -131,7 +133,10 @@ class TestAblation:
         # the baseline cell must equal a direct baseline run on the same seed
         base = next(c for c in grid.cells if c.min_steps == 0 and c.max_steps == 1)
         direct = evaluate(
-            small_ds, FIXED, RefineConfig(min_steps=0, max_steps=1), n_episodes=6, seed=3
+            small_ds,
+            dataclasses.replace(FIXED, seed=3),
+            RefineConfig(min_steps=0, max_steps=1),
+            n_episodes=6,
         )
         assert base.report.per_episode_accuracy == direct.per_episode_accuracy
 

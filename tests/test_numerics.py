@@ -13,8 +13,8 @@ from mahashot import (
     mahalanobis_sq_many,
     solve_spd,
     spd_factorize,
-    stable_softmax,
 )
+from mahashot.numerics import softmax_rows
 from conftest import random_spd
 
 
@@ -128,34 +128,39 @@ class TestMahalanobis:
 
 
 class TestStableSoftmax:
+    """Row-wise softmax with max-subtraction (``softmax_rows``)."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(stable_softmax([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(softmax_rows([[0.0, 0.0]]), [[0.5, 0.5]])
 
     def test_huge_logits_no_overflow(self):
-        out = stable_softmax([1000.0, 1000.0])
-        np.testing.assert_allclose(out, [0.5, 0.5])
+        out = softmax_rows([[1000.0, 1000.0], [-1000.0, -1000.0]])
+        np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]])
         assert np.all(np.isfinite(out))
 
     def test_two_logit_closed_form(self):
         np.testing.assert_allclose(
-            stable_softmax([0.0, math.log(3.0)]), [0.25, 0.75], atol=1e-15
+            softmax_rows([[0.0, math.log(3.0)]]), [[0.25, 0.75]], atol=1e-15
         )
 
     def test_shift_invariance(self, rng):
         for _ in range(100):
-            x = rng.standard_normal(int(rng.integers(1, 9))) * 50
-            c = float(rng.standard_normal() * 1000)
-            np.testing.assert_allclose(
-                stable_softmax(x), stable_softmax(x + c), atol=1e-12
-            )
+            x = rng.standard_normal((3, int(rng.integers(1, 9)))) * 50
+            c = rng.standard_normal((3, 1)) * 1000
+            np.testing.assert_allclose(softmax_rows(x), softmax_rows(x + c), atol=1e-12)
 
     def test_sums_to_one(self, rng):
         for _ in range(100):
-            x = rng.standard_normal(5) * 30
-            assert abs(stable_softmax(x).sum() - 1.0) < 1e-12
+            x = rng.standard_normal((4, 5)) * 30
+            assert np.max(np.abs(softmax_rows(x).sum(axis=1) - 1.0)) < 1e-12
 
     def test_empty_and_nonfinite(self):
+        assert softmax_rows(np.zeros((0, 3))).shape == (0, 3)
         with pytest.raises(EmptyInput):
-            stable_softmax([])
+            softmax_rows(np.zeros((2, 0)))
         with pytest.raises(NonFiniteInput):
-            stable_softmax([0.0, np.inf])
+            softmax_rows([[0.0, np.inf]])
+        with pytest.raises(NonFiniteInput):
+            softmax_rows([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            softmax_rows([0.0, 1.0])

@@ -4,7 +4,6 @@ from scipy import stats
 
 from mahashot import (
     EmbeddingDataset,
-    EpisodeStream,
     FixedSamplerConfig,
     InsufficientClasses,
     InsufficientExamples,
@@ -195,22 +194,3 @@ class TestVariableSampler:
         with pytest.raises(InvalidSpec):
             FixedSamplerConfig(way=1, shot=1)
 
-
-class TestEpisodeStream:
-    def test_matches_direct_indexing(self, big_ds):
-        cfg = FixedSamplerConfig(way=3, shot=2, query_per_class=4, seed=31)
-        stream = EpisodeStream(dataset=big_ds, config=cfg)
-        for i, task in zip(range(5), stream):
-            direct = sample_fixed(big_ds, cfg, i)
-            np.testing.assert_array_equal(task.support_z, direct.support_z)
-            np.testing.assert_array_equal(task.query_z, direct.query_z)
-
-    def test_skip_and_reset(self, big_ds):
-        cfg = FixedSamplerConfig(way=3, shot=2, query_per_class=4, seed=31)
-        stream = EpisodeStream(dataset=big_ds, config=cfg)
-        stream.skip(7)
-        task = next(stream)
-        direct = sample_fixed(big_ds, cfg, 7)
-        np.testing.assert_array_equal(task.support_z, direct.support_z)
-        stream.reset()
-        assert stream.cursor == 0
