@@ -5,14 +5,19 @@ aggregates per-episode accuracies (mean and 95% confidence interval over
 episodes), per-class recalls binned by that class's support shot, and a
 histogram of refinement iteration counts.
 
-Ablation grids run one evaluation per cell of a config product. Every
+Ablation grids report one evaluation per cell of a config product. Every
 cell reuses the same episode seeds, so episode i is the identical task in
 every cell and differences are attributable to the method config alone.
+The min/max step bounds only decide where refinement stops, so each
+(rule, query count, repeat, episode) is sampled and refined once, far
+enough for every cell, and each cell reads its stopping point off that
+trajectory. A call starts at most one worker pool, which receives the
+dataset once per worker.
 
 Reports serialize deterministically: fixed key order, floats rendered
 with 17 significant digits. Identical inputs give byte-identical files
-regardless of worker-pool width, because per-episode results land in
-index-addressed slots and are reduced only after all episodes finish.
+regardless of worker-pool width, because per-episode results come back
+in job order and are reduced only after all episodes finish.
 """
 
 from __future__ import annotations
@@ -53,9 +58,15 @@ GRID_CSV_HEADER = (
 class EpisodeFailure(MahashotError):
     """A sampler or refinement error aborted the run; carries the episode index."""
 
-    def __init__(self, index: int, cause: Exception):
+    def __init__(self, index: int, cause: Exception | str):
         super().__init__(f"episode {index} failed: {cause}")
         self.index = index
+        self.cause = str(cause)
+
+    def __reduce__(self):
+        # Rebuilt from the cause's text: a pool worker's failure must
+        # unpickle in the parent even when the cause itself would not.
+        return type(self), (self.index, self.cause)
 
 
 @dataclass(frozen=True)
@@ -120,55 +131,72 @@ class AblationGrid:
     cells: tuple[GridCell, ...]
 
 
-def _run_episode(
+def _trajectory(
     ds: EmbeddingDataset, sampler_cfg: SamplerConfig, refine_cfg: RefineConfig, index: int
-) -> EpisodeOutcome:
+) -> list[EpisodeOutcome]:
+    """Per-iteration outcomes of one refinement run: item t-1 is the outcome
+    had it stopped after iteration t, with ``converged_early`` True iff
+    iteration t repeats the labels of t-1 (t = 1: iff no query rows)."""
     try:
         task = sample_task(ds, sampler_cfg, index)
         trace = refine(task, refine_cfg)
     except MahashotError as exc:
         raise EpisodeFailure(index, exc) from exc
-    labels = trace.labels_per_iteration[-1]
-    accuracy = float(np.mean(labels == task.truth))
     shots = task.class_counts()
-    recalls = []
-    for k in range(task.way):
-        mask = task.truth == k
-        if not mask.any():
-            continue
-        recalls.append((int(shots[k]), float(np.mean(labels[mask] == k))))
-    return EpisodeOutcome(
-        index=index,
-        accuracy=accuracy,
-        iterations_run=trace.iterations_run,
-        converged_early=trace.converged_early,
-        shot_recalls=tuple(recalls),
-    )
+    per_class = np.bincount(task.truth, minlength=task.way)
+    history = trace.labels_per_iteration
+    steps = []
+    for t, labels in enumerate(history, 1):
+        hits = labels == task.truth
+        class_hits = np.bincount(task.truth, weights=hits, minlength=task.way)
+        recalls = tuple(
+            (int(shots[k]), float(class_hits[k] / per_class[k])) for k in np.flatnonzero(per_class)
+        )
+        stable = task.n_query == 0 or (t > 1 and np.array_equal(labels, history[t - 2]))
+        steps.append(EpisodeOutcome(index, float(np.mean(hits)), t, stable, recalls))
+    return steps
 
 
-def _episode_chunk(args) -> list[EpisodeOutcome]:
-    ds, sampler_cfg, refine_cfg, indices = args
-    return [_run_episode(ds, sampler_cfg, refine_cfg, i) for i in indices]
+def _stop(steps: list[EpisodeOutcome], cfg: RefineConfig) -> EpisodeOutcome:
+    """The outcome of ``refine`` under ``cfg``, read off the steps of a run
+    that went at least as far: like ``refine``, stop at the first repeated
+    labels at or after ``min_steps``, else at ``max_steps`` or where a
+    degenerate soft count ended the run; with no query rows, at once."""
+    reached = steps[: cfg.max_steps]
+    for o in reached:
+        if o.converged_early and (o.iterations_run >= cfg.min_steps or o.iterations_run == 1):
+            return o
+    return dataclasses.replace(reached[-1], converged_early=False)
 
 
-def _collect(
+# Set once per pool worker, so the dataset is not pickled into every job.
+_worker_dataset: EmbeddingDataset | None = None
+
+
+def _init_worker(ds: EmbeddingDataset) -> None:
+    global _worker_dataset
+    _worker_dataset = ds
+
+
+def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
+    return [_trajectory(_worker_dataset, *episode) for episode in episodes]
+
+
+def _trajectories(
     ds: EmbeddingDataset,
-    sampler_cfg: SamplerConfig,
-    refine_cfg: RefineConfig,
-    indices: list[int],
+    runs: list[tuple[SamplerConfig, RefineConfig]],
+    n_episodes: int,
     parallelism: int,
-) -> list[EpisodeOutcome]:
-    if parallelism <= 1 or len(indices) < 2:
-        outcomes = _episode_chunk((ds, sampler_cfg, refine_cfg, indices))
-    else:
-        n_chunks = min(len(indices), 4 * parallelism)
-        chunks = [c.tolist() for c in np.array_split(indices, n_chunks)]
-        jobs = [(ds, sampler_cfg, refine_cfg, c) for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = [o for part in pool.map(_episode_chunk, jobs) for o in part]
-    # Index-addressed reduction: aggregation order never depends on
-    # completion order.
-    return sorted(outcomes, key=lambda o: o.index)
+) -> list[list[EpisodeOutcome]]:
+    """Steps of episodes ``0..n_episodes-1`` of every run, run-major."""
+    episodes = [(s, r, i) for s, r in runs for i in range(n_episodes)]
+    if parallelism <= 1 or len(episodes) < 2:
+        return [_trajectory(ds, *episode) for episode in episodes]
+    n = min(len(episodes), 4 * parallelism)
+    chunks = [episodes[j * len(episodes) // n : (j + 1) * len(episodes) // n] for j in range(n)]
+    with ProcessPoolExecutor(parallelism, initializer=_init_worker, initargs=(ds,)) as pool:
+        # map yields in job order, whichever worker finishes first.
+        return [steps for part in pool.map(_episode_chunk, chunks) for steps in part]
 
 
 def _bin_label(shot: int) -> str:
@@ -240,7 +268,8 @@ def evaluate(
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    outcomes = _collect(ds, sampler_cfg, refine_cfg, list(range(n_episodes)), parallelism)
+    steps = _trajectories(ds, [(sampler_cfg, refine_cfg)], n_episodes, parallelism)
+    outcomes = [_stop(s, refine_cfg) for s in steps]
     method = f"{refine_cfg.rule.kind}(min={refine_cfg.min_steps},max={refine_cfg.max_steps})"
     config = {
         "sampler": dataclasses.asdict(sampler_cfg),
@@ -262,12 +291,31 @@ def run_ablation(
 
     Each cell pools ``spec.repeats`` runs seeded ``spec.seed + r``; the
     same seeds are reused in every cell, so comparisons across cells are
-    paired episode by episode.
+    paired episode by episode. The step bounds only decide where a
+    trajectory stops, so cells that differ only in them share one.
     """
+    grid = list(
+        itertools.product(spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class)
+    )
+    # One trajectory per (rule, query count, repeat, episode), long enough
+    # for every cell: the largest clamped min is min(max(mins), max(maxes)).
+    longest_max = max(spec.max_steps, default=1)
+    longest = (min(max(spec.min_steps, default=0), longest_max), longest_max)
+    streams = list(dict.fromkeys((rule_kind, qpc) for _, _, rule_kind, qpc in grid))
+    runs = [
+        (
+            dataclasses.replace(sampler_cfg, query_per_class=qpc, seed=spec.seed + r),
+            RefineConfig(*longest, rule=AssignmentRule(kind=rule_kind), beta=spec.beta),
+        )
+        for rule_kind, qpc in streams
+        for r in range(spec.repeats)
+    ]
+    steps = _trajectories(ds, runs, spec.episodes, parallelism)
+    n = spec.repeats * spec.episodes
+    pooled = {stream: steps[i * n : (i + 1) * n] for i, stream in enumerate(streams)}
+
     cells = []
-    for mn, mx, rule_kind, qpc in itertools.product(
-        spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class
-    ):
+    for mn, mx, rule_kind, qpc in grid:
         refine_cfg = RefineConfig(
             min_steps=min(mn, mx),
             max_steps=mx,
@@ -275,12 +323,7 @@ def run_ablation(
             beta=spec.beta,
         )
         cell_sampler = dataclasses.replace(sampler_cfg, query_per_class=qpc)
-        outcomes = []
-        for r in range(spec.repeats):
-            run_sampler = dataclasses.replace(cell_sampler, seed=spec.seed + r)
-            outcomes.extend(
-                _collect(ds, run_sampler, refine_cfg, list(range(spec.episodes)), parallelism)
-            )
+        outcomes = [_stop(s, refine_cfg) for s in pooled[rule_kind, qpc]]
         config = {
             "sampler": dataclasses.asdict(cell_sampler),
             "refine": _refine_config_echo(refine_cfg),

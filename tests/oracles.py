@@ -87,18 +87,6 @@ def naive_weighted(task, w, beta=1.0):
     return mus, sigma, sigma_ks, qs, mu_task
 
 
-def naive_pool(task):
-    """Class-balanced support mean and query mean, by loops."""
-    d = task.dim
-    e_s = np.zeros(d)
-    for k in range(task.way):
-        idx = [i for i in range(task.n_support) if task.support_y[i] == k]
-        e_s += sum(task.support_z[i] for i in idx) / len(idx)
-    e_s /= task.way
-    e_q = sum(task.query_z[i] for i in range(task.n_query)) / task.n_query
-    return e_s, e_q
-
-
 def naive_probs(mus, qs, z, rule="mahalanobis-softmax", prior=None):
     """Assignment probabilities via explicit inverses and determinants."""
     k_count = len(mus)

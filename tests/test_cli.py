@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mahashot import cli, errors, load_dataset
+from mahashot import EmbeddingDataset, cli, errors, load_dataset, write_dataset
 from mahashot.cli import main
 from mahashot.harness import EpisodeFailure
 
@@ -225,3 +226,17 @@ class TestExitCodes:
     def test_every_package_error_is_listed(self):
         listed = {type(e) for e, _ in EXIT_CODES}
         assert set(_concrete_errors(errors.MahashotError)) <= listed
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):
+        # Three rows per class cannot give shot 2 plus 10 queries.
+        path = tmp_path / "tiny.emb"
+        classes = {"a": np.zeros((3, 2)), "b": np.ones((3, 2))}
+        write_dataset(EmbeddingDataset(classes=classes), path, "packed-binary")
+        rc = main(
+            [command, "--dataset", str(path), "--sampler", "fixed", "--way", "2", "--shot", "2",
+             "--query-per-class", "10", "--episodes", "3", "--parallelism", "2",
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: episode 0 failed:")

@@ -1,11 +1,20 @@
 import dataclasses
+import functools
+import itertools
 import json
+import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+import mahashot.cli as cli
+import mahashot.harness as harness
+import mahashot.refinement as refinement
 from mahashot import (
     AblationSpec,
+    AssignmentRule,
+    DegenerateClass,
     EmbeddingDataset,
     FixedSamplerConfig,
     RefineConfig,
@@ -13,10 +22,14 @@ from mahashot import (
     emit_report,
     evaluate,
     generate_synthetic,
+    refine,
     render_report,
     run_ablation,
+    sample_task,
+    write_dataset,
 )
 from mahashot.harness import EpisodeFailure, EpisodeOutcome, _aggregate
+from conftest import without_query
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +120,20 @@ class TestEvaluate:
             evaluate(ds, cfg, REFINE, n_episodes=3)
         assert info.value.index == 0
 
+    def test_failing_episode_in_pool_reports_index(self):
+        ds = EmbeddingDataset(classes={"a": np.zeros((3, 2)), "b": np.ones((3, 2))})
+        cfg = FixedSamplerConfig(way=2, shot=2, query_per_class=10, seed=0)
+        with pytest.raises(EpisodeFailure) as info:
+            evaluate(ds, cfg, REFINE, n_episodes=3, parallelism=2)
+        assert info.value.index == 0
+
+    def test_episode_failure_pickles_even_when_its_cause_does_not(self):
+        failure = EpisodeFailure(4, DegenerateClass(1, 0.0))
+        again = pickle.loads(pickle.dumps(failure))
+        assert type(again) is EpisodeFailure
+        assert again.index == 4
+        assert str(again) == str(failure)
+
     def test_rejects_zero_episodes(self, small_ds):
         with pytest.raises(ValueError):
             evaluate(small_ds, FIXED, REFINE, n_episodes=0)
@@ -157,6 +184,181 @@ class TestAblation:
         )
         grid = run_ablation(small_ds, FIXED, spec)
         assert grid.cells[0].report.episodes == 15
+
+
+def direct_grid(ds, sampler_cfg, spec):
+    """Every cell of ``spec`` from one ``refine`` run per (cell, repeat,
+    episode) at the cell's own config: the per-cell path the shared
+    trajectory replaces, kept as its reference."""
+    reports, cut_short = [], 0
+    for mn, mx, rule, qpc in itertools.product(
+        spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class
+    ):
+        cfg = RefineConfig(min(mn, mx), mx, AssignmentRule(rule), spec.beta)
+        outcomes = []
+        for r, i in itertools.product(range(spec.repeats), range(spec.episodes)):
+            run = dataclasses.replace(sampler_cfg, query_per_class=qpc, seed=spec.seed + r)
+            task = sample_task(ds, run, i)
+            trace = refine(task, cfg)
+            labels = trace.labels_per_iteration[-1]
+            shots = task.class_counts()
+            recalls = tuple(
+                (int(shots[k]), float(np.mean(labels[task.truth == k] == k)))
+                for k in range(task.way)
+                if (task.truth == k).any()
+            )
+            accuracy = float(np.mean(labels == task.truth))
+            outcomes.append(
+                EpisodeOutcome(i, accuracy, trace.iterations_run, trace.converged_early, recalls)
+            )
+            cut_short += trace.iterations_run < mx and not trace.converged_early
+        reports.append(_aggregate(outcomes, "", {}))
+    return reports, cut_short
+
+
+def assert_cells_match(grid, reports):
+    assert len(grid.cells) == len(reports)
+    for cell, want in zip(grid.cells, reports):
+        got = cell.report
+        assert got.per_episode_accuracy == want.per_episode_accuracy
+        assert got.iteration_histogram == want.iteration_histogram
+        assert got.converged_early_rate == want.converged_early_rate
+        assert got.recall_bins == want.recall_bins
+
+
+# Both rules, two query counts, two repeats, clamped min > max cells and a
+# max_steps=1 cell.
+DERIVATION_SPEC = AblationSpec(
+    min_steps=(0, 2, 5), max_steps=(1, 3, 7), rules=("mahalanobis-softmax", "gmm"),
+    query_per_class=(5, 9), episodes=4, repeats=2, seed=21,
+)
+
+
+@pytest.fixture
+def degenerate_midway(monkeypatch):
+    """Make ``estimate_weighted`` raise DegenerateClass after a number of
+    calls that depends on the task's data, so refinement of each episode
+    breaks off at its own iteration. Support rows are one-hot, so a real
+    soft count never drops below 1; the break has to be forced. Forked pool
+    workers inherit the stand-in."""
+    real = refinement.estimate_weighted
+    calls = {}
+
+    def estimate(task, resp, beta=1.0):
+        # Holding the task keeps its id from being reused by a later task.
+        seen = calls.setdefault(id(task), [task, 0])
+        seen[1] += 1
+        if seen[1] > int(abs(task.query_z[0, 0]) * 1e3) % 4:
+            raise DegenerateClass(0, 0.0)
+        return real(task, resp, beta)
+
+    monkeypatch.setattr(refinement, "estimate_weighted", estimate)
+
+
+class TestTrajectoryDerivation:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_every_cell_matches_refine_at_its_own_config(self, small_ds, parallelism):
+        grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=parallelism)
+        reports, _ = direct_grid(small_ds, FIXED, DERIVATION_SPEC)
+        assert_cells_match(grid, reports)
+
+    # An episode with no query rows has accuracy nan, the mean of nothing.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_empty_query_set_stops_at_once_converged(self, small_ds, monkeypatch):
+        # The samplers always draw query rows; refine's empty-query stop is
+        # reached here through the harness's sample_task lookup.
+        real = harness.sample_task
+        monkeypatch.setattr(harness, "sample_task", lambda *args: without_query(real(*args)))
+        grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC)
+        n = DERIVATION_SPEC.episodes * DERIVATION_SPEC.repeats
+        for cell in grid.cells:
+            assert cell.report.iteration_histogram == {1: n}
+            assert cell.report.converged_early_rate == 1.0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_degenerate_break_matches_refine(self, small_ds, degenerate_midway, parallelism):
+        spec = dataclasses.replace(DERIVATION_SPEC, beta=0.0)
+        grid = run_ablation(small_ds, FIXED, spec, parallelism=parallelism)
+        reports, cut_short = direct_grid(small_ds, FIXED, spec)
+        assert cut_short > 0  # some cells' max lies past a break
+        assert_cells_match(grid, reports)
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Count pool starts, and record the function and the pickled bytes of
+    the jobs every pool maps."""
+    log = {"starts": 0, "job_bytes": 0, "mapped": []}
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log["starts"] += 1
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            jobs = list(zip(*iterables))
+            log["mapped"].append(fn)
+            log["job_bytes"] += sum(len(ForkingPickler.dumps((fn, job))) for job in jobs)
+            return super().map(fn, *zip(*jobs), **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return log
+
+
+class TestPool:
+    def test_one_pool_per_call(self, small_ds, pool_log):
+        run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=2)
+        assert pool_log["starts"] == 1
+        evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=2)
+        assert pool_log["starts"] == 2
+
+    def test_job_bytes_do_not_grow_with_dataset_rows(self, pool_log):
+        shipped = []
+        for per_class in (30, 600):
+            ds = generate_synthetic(
+                SyntheticSpec(n_classes=8, dim=4, mean_scale=2.0, per_class=per_class, seed=77)
+            )
+            pool_log["job_bytes"] = 0
+            run_ablation(ds, FIXED, DERIVATION_SPEC, parallelism=2)
+            shipped.append(pool_log["job_bytes"])
+        assert shipped[0] > 0
+        assert shipped[0] == shipped[1]
+
+
+class TestBenchmarkHooks:
+    """The benchmark's traced run replaces these module attributes with
+    span-recording stand-ins, so each must exist and be looked up at call
+    time (see perfbench/tracing.py)."""
+
+    def test_hooks_are_looked_up_at_call_time(self, small_ds, pool_log, monkeypatch, tmp_path):
+        called = set()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            @functools.wraps(real)
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        hooks = [
+            (cli, "evaluate"), (cli, "run_ablation"), (cli, "render_report"),
+            (harness, "sample_task"), (harness, "refine"), (harness, "_episode_chunk"),
+        ]
+        for module, name in hooks:
+            spy(module, name)
+        path = tmp_path / "ds.emb"
+        write_dataset(small_ds, path, "packed-binary")
+        common = ["--dataset", str(path), "--sampler", "fixed", "--way", "3", "--shot", "2",
+                  "--episodes", "2", "--out", str(tmp_path / "out")]
+        assert cli.main(["eval", *common, "--parallelism", "1"]) == 0
+        assert cli.main(["ablate", *common, "--repeats", "1", "--parallelism", "2"]) == 0
+        # _episode_chunk runs only in pool workers: check it is what the pool maps.
+        assert called == {name for _, name in hooks} - {"_episode_chunk"}
+        assert pool_log["starts"] == 1
+        assert pool_log["mapped"] == [harness._episode_chunk]
 
 
 class TestReportEmission:
