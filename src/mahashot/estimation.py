@@ -1,11 +1,12 @@
 """Class-parameter estimation, plain and responsibility-weighted.
 
-The plain path estimates per-class means and shrinkage-regularized
-covariances from the labelled support set alone. The weighted path
-generalizes every sum to run over the disjoint union of support and query
-rows with soft weights, and reduces exactly to the plain path when the
-query set is empty. Covariance divisors are population-style (n, not
-n - 1) throughout.
+Both estimators are one kernel over rows and a (rows, K) weight matrix.
+The support-only estimate weights the support rows one-hot by label; the
+weighted one stacks support and query rows under the responsibilities, so
+it reduces exactly to the former on an empty query set. Each class sums
+only over the rows it gives nonzero weight: O(n d^2) support-only,
+O((n + K m) d^2) weighted. Covariance divisors are population-style
+(n, not n - 1) throughout.
 
 The shrinkage blend for class k with (soft) count c is
 ``Q_k = lam * Sigma_k + (1 - lam) * Sigma + beta * I`` with
@@ -103,71 +104,10 @@ class Responsibilities:
         return self.w[self.n_support :]
 
 
-def _class_params(
-    mu_k: np.ndarray, sigma_k: np.ndarray, sigma: np.ndarray, count: float, beta: float
-) -> ClassParams:
-    """Shrinkage blend of one class's scatter with the task's, factorized."""
-    lam = count / (count + 1.0)
-    q = lam * sigma_k + (1.0 - lam) * sigma + beta * np.eye(sigma.shape[0])
-    q = 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
-    return ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q), count=count, sigma_k=sigma_k)
-
-
-def estimate_unweighted(task: Task, beta: float = 1.0) -> tuple[list[ClassParams], TaskStats]:
-    """Support-only estimates of class means and regularized covariances.
-
-    Returns one :class:`ClassParams` per class (in label order) and the
-    task-level :class:`TaskStats` the shrinkage pulled toward.
-    """
+def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassParams], TaskStats]:
+    """Class parameters and task statistics of rows ``z`` under weights ``w``."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    z = task.support_z
-    n = task.n_support
-
-    mu_task = z.mean(axis=0)
-    centered = z - mu_task
-    sigma = centered.T @ centered / n
-    sigma = 0.5 * (sigma + sigma.T)
-
-    params = []
-    for k in range(task.way):
-        rows = z[task.support_y == k]
-        n_k = rows.shape[0]
-        mu_k = rows.mean(axis=0)
-        centered_k = rows - mu_k
-        sigma_k = centered_k.T @ centered_k / n_k
-        params.append(_class_params(mu_k, sigma_k, sigma, float(n_k), beta))
-    return params, TaskStats(mu=mu_task, sigma=sigma)
-
-
-def estimate_weighted(
-    task: Task, resp: Responsibilities, beta: float = 1.0
-) -> tuple[list[ClassParams], TaskStats]:
-    """Responsibility-weighted estimates over support and query rows jointly.
-
-    Every sum runs over the stacked rows (support then query); soft counts
-    are column sums of the responsibility matrix. With an empty query set
-    and one-hot support rows this reproduces :func:`estimate_unweighted`.
-
-    Raises
-    ------
-    DegenerateClass
-        If any soft count falls below ``EPS_COUNT``.
-    """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    n_rows = task.n_support + task.n_query
-    if resp.w.shape != (n_rows, task.way):
-        raise DimensionMismatch(
-            f"responsibilities shape {resp.w.shape} != ({n_rows}, {task.way})"
-        )
-    if resp.n_support != task.n_support:
-        raise DimensionMismatch(
-            f"responsibilities split at {resp.n_support} rows, task has {task.n_support} support"
-        )
-    z = np.vstack([task.support_z, task.query_z])
-    w = resp.w
-
     counts = w.sum(axis=0)  # soft count per class
     low = np.flatnonzero(counts < EPS_COUNT)
     if low.size:
@@ -182,12 +122,55 @@ def estimate_weighted(
     sigma = (centered * row_weight[:, None]).T @ centered / total
     sigma = 0.5 * (sigma + sigma.T)
 
+    ridge = beta * np.eye(z.shape[1])
     params = []
-    for k in range(task.way):
-        wk = w[:, k]
-        mu_k = (wk @ z) / counts[k]
-        centered_k = z - mu_k
-        sigma_k = (centered_k * wk[:, None]).T @ centered_k / counts[k]
-        params.append(_class_params(mu_k, sigma_k, sigma, float(counts[k]), beta))
+    for k in range(w.shape[1]):
+        # Rows the class gives zero weight would only add exact zeros.
+        rows = np.flatnonzero(w[:, k])
+        wk, zk = w[rows, k], z[rows]
+        count = float(counts[k])
+        mu_k = (wk @ zk) / count
+        centered_k = zk - mu_k
+        sigma_k = (centered_k * wk[:, None]).T @ centered_k / count
+        lam = count / (count + 1.0)
+        q = lam * sigma_k + (1.0 - lam) * sigma + ridge
+        q = 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
+        params.append(
+            ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q), count=count, sigma_k=sigma_k)
+        )
     return params, TaskStats(mu=mu_task, sigma=sigma)
 
+
+def estimate_unweighted(task: Task, beta: float = 1.0) -> tuple[list[ClassParams], TaskStats]:
+    """Support-only estimates of class means and regularized covariances.
+
+    Returns one :class:`ClassParams` per class (in label order) and the
+    task-level :class:`TaskStats` the shrinkage pulled toward.
+    """
+    return _estimate(task.support_z, np.eye(task.way)[task.support_y], beta)
+
+
+def estimate_weighted(
+    task: Task, resp: Responsibilities, beta: float = 1.0
+) -> tuple[list[ClassParams], TaskStats]:
+    """Responsibility-weighted estimates over support and query rows jointly.
+
+    The rows are the support rows then the query rows, and the soft counts
+    are column sums of the responsibility matrix. With an empty query set
+    and one-hot support rows this reproduces :func:`estimate_unweighted`.
+
+    Raises
+    ------
+    DegenerateClass
+        If any soft count falls below ``EPS_COUNT``.
+    """
+    n_rows = task.n_support + task.n_query
+    if resp.w.shape != (n_rows, task.way):
+        raise DimensionMismatch(
+            f"responsibilities shape {resp.w.shape} != ({n_rows}, {task.way})"
+        )
+    if resp.n_support != task.n_support:
+        raise DimensionMismatch(
+            f"responsibilities split at {resp.n_support} rows, task has {task.n_support} support"
+        )
+    return _estimate(np.vstack([task.support_z, task.query_z]), resp.w, beta)

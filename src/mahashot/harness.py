@@ -194,7 +194,9 @@ def _trajectories(
         return [_trajectory(ds, *episode) for episode in episodes]
     n = min(len(episodes), 4 * parallelism)
     chunks = [episodes[j * len(episodes) // n : (j + 1) * len(episodes) // n] for j in range(n)]
-    with ProcessPoolExecutor(parallelism, initializer=_init_worker, initargs=(ds,)) as pool:
+    # Forked workers all start at the first submit, so start no idle ones.
+    workers = min(parallelism, len(chunks))
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ds,)) as pool:
         # map yields in job order, whichever worker finishes first.
         return [steps for part in pool.map(_episode_chunk, chunks) for steps in part]
 

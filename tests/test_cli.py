@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mahashot
 from mahashot import EmbeddingDataset, cli, errors, load_dataset, write_dataset
 from mahashot.cli import main
 from mahashot.harness import EpisodeFailure
@@ -175,8 +178,13 @@ class TestSelftest:
         assert main(["selftest"]) == 0
 
     def test_console_entry_point(self):
+        # The child must import the package under test without PYTHONPATH set.
+        root = str(pathlib.Path(mahashot.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mahashot.cli", "selftest"],
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -94,15 +94,19 @@ class TestWeighted:
         for _ in range(20):
             task = make_task(rng, way=3, d=4, queries=6)
             raw = rng.uniform(0.1, 1.0, size=(task.n_query, 3))
-            probs = raw / raw.sum(axis=1, keepdims=True)
-            resp = Responsibilities.build(task, probs)
-            params, stats = estimate_weighted(task, resp, beta=1.0)
-            mus, sigma, sigma_ks, qs, mu_task = naive_weighted(task, resp.w, beta=1.0)
-            np.testing.assert_allclose(stats.mu, mu_task, atol=1e-12)
-            np.testing.assert_allclose(stats.sigma, sigma, atol=1e-12)
-            for k in range(3):
-                np.testing.assert_allclose(params[k].mu, mus[k], atol=1e-12)
-                np.testing.assert_allclose(params[k].q, qs[k], atol=1e-12)
+            soft = raw / raw.sum(axis=1, keepdims=True)
+            # exact zeros, as softmax underflow produces at high dimension
+            hard = np.eye(3)[rng.integers(0, 3, size=task.n_query)]
+            hard[0] = [0.5, 0.5, 0.0]
+            for probs in (soft, hard):
+                resp = Responsibilities.build(task, probs)
+                params, stats = estimate_weighted(task, resp, beta=1.0)
+                mus, sigma, sigma_ks, qs, mu_task = naive_weighted(task, resp.w, beta=1.0)
+                np.testing.assert_allclose(stats.mu, mu_task, atol=1e-12)
+                np.testing.assert_allclose(stats.sigma, sigma, atol=1e-12)
+                for k in range(3):
+                    np.testing.assert_allclose(params[k].mu, mus[k], atol=1e-12)
+                    np.testing.assert_allclose(params[k].q, qs[k], atol=1e-12)
 
     def test_soft_count_near_zero_approaches_task_blend(self, rng):
         # limit behavior: a class whose soft count is tiny (but above the
@@ -183,6 +187,36 @@ class TestPermutationInvariance:
             np.testing.assert_allclose(a.mu, b.mu, atol=1e-12)
             np.testing.assert_allclose(a.q, b.q, atol=1e-12)
 
+    def test_class_relabel_permutes_params(self, rng):
+        for _ in range(10):
+            task = make_task(rng, way=4, d=3, queries=6)
+            raw = rng.uniform(0.1, 1.0, size=(task.n_query, 4))
+            probs = raw / raw.sum(axis=1, keepdims=True)
+            perm = rng.permutation(4)  # class k becomes class perm[k]
+            relabeled = Task(
+                support_z=task.support_z,
+                support_y=perm[task.support_y],
+                query_z=task.query_z,
+                truth=perm[task.truth],
+                way=task.way,
+            )
+            runs = [
+                (estimate_unweighted(task), estimate_unweighted(relabeled)),
+                (
+                    estimate_weighted(task, Responsibilities.build(task, probs)),
+                    estimate_weighted(
+                        relabeled, Responsibilities.build(relabeled, probs[:, np.argsort(perm)])
+                    ),
+                ),
+            ]
+            for (p1, s1), (p2, s2) in runs:
+                np.testing.assert_allclose(s2.mu, s1.mu, atol=1e-12)
+                np.testing.assert_allclose(s2.sigma, s1.sigma, atol=1e-12)
+                for k in range(4):
+                    np.testing.assert_allclose(p2[perm[k]].mu, p1[k].mu, atol=1e-12)
+                    np.testing.assert_allclose(p2[perm[k]].q, p1[k].q, atol=1e-12)
+                    assert p2[perm[k]].count == pytest.approx(p1[k].count, abs=1e-12)
+
 
 class TestAffineEquivariance:
     def test_beta_zero_transforms_covariantly(self, rng):
@@ -204,6 +238,33 @@ class TestAffineEquivariance:
             for orig, mvd in zip(p1, p2):
                 np.testing.assert_allclose(mvd.mu, a @ orig.mu + b, rtol=1e-8, atol=1e-10)
                 np.testing.assert_allclose(mvd.q, a @ orig.q @ a.T, rtol=1e-8, atol=1e-10)
+
+    def test_weighted_and_large_offsets(self, rng):
+        # A 1e6 translation leaves about 10 significant digits for the
+        # centred rows; the weighted estimator must follow A and b as well.
+        d = 3
+        for _ in range(10):
+            task = make_task(rng, way=2, shots=[d + 2, d + 3], d=d, queries=4)
+            raw = rng.uniform(0.1, 1.0, size=(task.n_query, 2))
+            probs = raw / raw.sum(axis=1, keepdims=True)
+            q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a = q_mat @ np.diag(rng.uniform(0.5, 2.0, size=d))
+            for b in (rng.standard_normal(d), np.full(d, 1e6)):
+                moved = Task(
+                    support_z=task.support_z @ a.T + b,
+                    support_y=task.support_y,
+                    query_z=task.query_z @ a.T + b,
+                    truth=task.truth,
+                    way=task.way,
+                )
+                for estimate in (
+                    lambda t: estimate_unweighted(t, beta=0.0),
+                    lambda t: estimate_weighted(t, Responsibilities.build(t, probs), beta=0.0),
+                ):
+                    for orig, mvd in zip(estimate(task)[0], estimate(moved)[0]):
+                        np.testing.assert_allclose(mvd.mu, a @ orig.mu + b, rtol=0, atol=1e-8)
+                        q = a @ orig.q @ a.T
+                        assert np.linalg.norm(mvd.q - q) <= 1e-8 * np.linalg.norm(q)
 
 
 class TestResponsibilities:

@@ -286,14 +286,15 @@ class TestTrajectoryDerivation:
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Count pool starts, and record the function and the pickled bytes of
-    the jobs every pool maps."""
-    log = {"starts": 0, "job_bytes": 0, "mapped": []}
+    """Count pool starts, and record each pool's worker count and the
+    function and the pickled bytes of the jobs every pool maps."""
+    log = {"starts": 0, "workers": [], "job_bytes": 0, "mapped": []}
 
     class CountingPool(harness.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             log["starts"] += 1
             super().__init__(*args, **kwargs)
+            log["workers"].append(self._max_workers)
 
         def map(self, fn, *iterables, **kwargs):
             jobs = list(zip(*iterables))
@@ -311,6 +312,10 @@ class TestPool:
         assert pool_log["starts"] == 1
         evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=2)
         assert pool_log["starts"] == 2
+
+    def test_no_more_workers_than_jobs(self, small_ds, pool_log):
+        evaluate(small_ds, FIXED, REFINE, n_episodes=3, parallelism=4)
+        assert pool_log["workers"] == [3]
 
     def test_job_bytes_do_not_grow_with_dataset_rows(self, pool_log):
         shipped = []
