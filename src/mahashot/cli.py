@@ -22,6 +22,7 @@ from . import data as ds_io
 from .classification import GMM, MAHALANOBIS_SOFTMAX, AssignmentRule
 from .errors import InvalidSpec, MahashotError
 from .harness import AblationSpec, evaluate, render_report, run_ablation
+from .numerics import _single_blas_thread
 from .refinement import RefineConfig
 from .sampler import FixedSamplerConfig, VariableSamplerConfig, sample_task
 from .selftest import run_selftest
@@ -293,7 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The CLI owns its process: its small factorizations run fastest
+        # on one BLAS thread, and --parallelism is the only parallelism.
+        with _single_blas_thread():
+            return args.func(args)
     except InvalidSpec as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,8 @@ from .errors import DegenerateClass, DimensionMismatch
 from .numerics import SpdFactor, spd_factorize
 
 # Soft class counts below this are useless as divisors; estimation raises
-# DegenerateClass and the refinement loop treats it as a stop signal.
+# DegenerateClass. Refinement never meets it: support rows are one-hot, so
+# every soft count there is at least 1.
 EPS_COUNT = 1e-8
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .classification import AssignmentRule
 from .data import EmbeddingDataset
 from .errors import MahashotError
+from .numerics import _pin_single_blas_thread, _single_blas_thread
 from .refinement import RefineConfig, refine
 from .sampler import SamplerConfig, sample_task
 
@@ -160,8 +161,8 @@ def _trajectory(
 def _stop(steps: list[EpisodeOutcome], cfg: RefineConfig) -> EpisodeOutcome:
     """The outcome of ``refine`` under ``cfg``, read off the steps of a run
     that went at least as far: like ``refine``, stop at the first repeated
-    labels at or after ``min_steps``, else at ``max_steps`` or where a
-    degenerate soft count ended the run; with no query rows, at once."""
+    labels at or after ``min_steps``, else at ``max_steps``; with no query
+    rows, at once."""
     reached = steps[: cfg.max_steps]
     for o in reached:
         if o.converged_early and (o.iterations_run >= cfg.min_steps or o.iterations_run == 1):
@@ -176,6 +177,9 @@ _worker_dataset: EmbeddingDataset | None = None
 def _init_worker(ds: EmbeddingDataset) -> None:
     global _worker_dataset
     _worker_dataset = ds
+    # A forked worker inherits the parent's single thread and sets nothing;
+    # one started afresh (spawn, forkserver) begins at the default count.
+    _pin_single_blas_thread()
 
 
 def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
@@ -189,14 +193,20 @@ def _trajectories(
     parallelism: int,
 ) -> list[list[EpisodeOutcome]]:
     """Steps of episodes ``0..n_episodes-1`` of every run, run-major."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     episodes = [(s, r, i) for s, r in runs for i in range(n_episodes)]
-    if parallelism <= 1 or len(episodes) < 2:
+    if parallelism == 1 or len(episodes) < 2:
         return [_trajectory(ds, *episode) for episode in episodes]
     n = min(len(episodes), 4 * parallelism)
     chunks = [episodes[j * len(episodes) // n : (j + 1) * len(episodes) // n] for j in range(n)]
     # Forked workers all start at the first submit, so start no idle ones.
     workers = min(parallelism, len(chunks))
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(ds,)) as pool:
+    # The pool is the parallelism: BLAS is pinned to one thread in the
+    # parent, so forked workers inherit one thread.
+    with _single_blas_thread(), ProcessPoolExecutor(
+        workers, initializer=_init_worker, initargs=(ds,)
+    ) as pool:
         # map yields in job order, whichever worker finishes first.
         return [steps for part in pool.map(_episode_chunk, chunks) for steps in part]
 

@@ -5,11 +5,17 @@ formed explicitly: applications of ``Q**-1`` go through the Cholesky
 factor held in :class:`SpdFactor` (triangular solves only). This matters
 because few-shot covariance estimates are routinely near-singular.
 
-All functions are pure; values are safe to share across workers.
+All functions are pure; values are safe to share across workers. The
+private BLAS thread-count helpers at the end are the exception: they set
+process-wide state of the loaded OpenBLAS libraries.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,3 +152,73 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
         raise NonFiniteInput("logits contain NaN or Inf")
     shifted = np.exp(x - np.max(x, axis=1, keepdims=True))
     return shifted / np.sum(shifted, axis=1, keepdims=True)
+
+
+# Thread-count (getter, setter) symbol names of the bundled OpenBLAS builds:
+# numpy's 64-bit-integer copy, scipy's copy, then plain builds.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(getter, setter) of each OpenBLAS library loaded in this process.
+
+    Found through the process's own memory map, so only libraries already
+    loaded count; empty where there is no map, no OpenBLAS, or no symbols.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = [line.split(None, 5)[-1].strip() for line in fh]
+    except OSError:
+        return ()
+    controls = []
+    for path in dict.fromkeys(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+def _pin_single_blas_thread() -> list:
+    """Set every loaded OpenBLAS whose count is not 1 to one thread.
+
+    Returns the (setter, previous count) of each library it changed.
+    Setting the count in a process forked from one already at 1 would
+    restart OpenBLAS's thread pool there, hence the guard.
+    """
+    changed = []
+    for get, set_ in _openblas_thread_controls():
+        n = get()
+        if n != 1:
+            set_(1)
+            changed.append((set_, n))
+    return changed
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread.
+
+    The factorizations and solves here are too small for BLAS threads to
+    pay; parallelism comes from worker processes instead. Processes forked
+    inside the block inherit one thread. On exit only the counts the block
+    changed are restored.
+    """
+    changed = _pin_single_blas_thread()
+    try:
+        yield
+    finally:
+        for set_, n in changed:
+            set_(n)

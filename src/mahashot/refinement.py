@@ -20,7 +20,6 @@ import numpy as np
 
 from .classification import AssignmentRule, argmax_labels, classify_many
 from .data import Task
-from .errors import DegenerateClass
 from .estimation import (
     ClassParams,
     Responsibilities,
@@ -60,7 +59,7 @@ class RefineTrace:
     ``labels_per_iteration[i]`` holds the hard query labels after
     iteration i+1. ``converged_early`` is True iff the loop stopped
     because labels stabilized, False when it ran into the ``max_steps``
-    cap or absorbed a degenerate soft count.
+    cap.
     """
 
     iterations_run: int
@@ -71,12 +70,7 @@ class RefineTrace:
 
 
 def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
-    """Run the refinement loop on one task and return its full trace.
-
-    A degenerate soft count mid-loop stops the run and keeps the previous
-    iteration's parameters and responsibilities; the episode still yields
-    labels.
-    """
+    """Run the refinement loop on one task and return its full trace."""
     params, _ = estimate_unweighted(task, cfg.beta)
     probs = classify_many(cfg.rule, params, task.query_z)
     resp = Responsibilities.build(task, probs)
@@ -91,13 +85,9 @@ def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
         return RefineTrace(1, history, True, resp, params)
 
     while iterations < cfg.max_steps:
-        try:
-            new_params, _ = estimate_weighted(task, resp, cfg.beta)
-        except DegenerateClass:
-            break
-        probs = classify_many(cfg.rule, new_params, task.query_z)
+        params, _ = estimate_weighted(task, resp, cfg.beta)
+        probs = classify_many(cfg.rule, params, task.query_z)
         new_labels = argmax_labels(probs)
-        params = new_params
         resp = Responsibilities.build(task, probs)
         iterations += 1
         history.append(new_labels)

@@ -235,6 +235,21 @@ class TestExitCodes:
         listed = {type(e) for e, _ in EXIT_CODES}
         assert set(_concrete_errors(errors.MahashotError)) <= listed
 
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_parallelism_below_one_is_config_error(
+        self, dataset_path, tmp_path, capsys, command, parallelism
+    ):
+        rc = main(
+            [command, "--dataset", str(dataset_path), "--sampler", "fixed", "--way", "3",
+             "--shot", "2", "--episodes", "2", "--parallelism", parallelism,
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: parallelism must be >= 1, got {parallelism}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):
         # Three rows per class cannot give shot 2 plus 10 queries.

@@ -3,7 +3,6 @@ import pytest
 
 from mahashot import (
     AssignmentRule,
-    DegenerateClass,
     RefineConfig,
     Task,
     classify_many,
@@ -11,7 +10,6 @@ from mahashot import (
     estimate_unweighted,
     refine,
 )
-import mahashot.refinement as refinement_mod
 from conftest import make_task, without_query
 from oracles import straight_line_refine
 
@@ -125,28 +123,6 @@ class TestDeterminism:
         refine(task, RefineConfig(min_steps=2, max_steps=4))
         np.testing.assert_array_equal(task.support_z, before[0])
         np.testing.assert_array_equal(task.query_z, before[1])
-
-
-class TestDegeneracyAbsorption:
-    def test_mid_loop_failure_keeps_previous_outputs(self, rng, monkeypatch):
-        task = make_task(rng, way=2, d=3, queries=4)
-        baseline = refine(task, BASELINE)
-
-        calls = {"n": 0}
-        real = refinement_mod.estimate_weighted
-
-        def explode(*args, **kwargs):
-            calls["n"] += 1
-            raise DegenerateClass(0, 0.0)
-
-        monkeypatch.setattr(refinement_mod, "estimate_weighted", explode)
-        trace = refine(task, RefineConfig(min_steps=2, max_steps=5))
-        monkeypatch.setattr(refinement_mod, "estimate_weighted", real)
-
-        assert calls["n"] == 1
-        assert trace.iterations_run == 1
-        assert not trace.converged_early
-        np.testing.assert_array_equal(trace.final_resp.w, baseline.final_resp.w)
 
 
 class TestClassifyTask:
