@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import Task
 from .errors import DegenerateClass, DimensionMismatch
-from .numerics import SpdFactor, spd_factorize
+# Unchecked (``_estimate`` symmetrizes q), under the name the kernel looks up.
+from .numerics import SpdFactor, _factorize as spd_factorize
 
 # Soft class counts below this are useless as divisors; estimation raises
 # DegenerateClass. Refinement never meets it: support rows are one-hot, so
@@ -74,10 +75,10 @@ class Responsibilities:
             raise DimensionMismatch("responsibilities must be a 2-d matrix")
         if not 0 <= self.n_support <= w.shape[0]:
             raise DimensionMismatch("n_support out of range")
-        if w.size:
-            if w.min() < 0.0 or w.max() > 1.0:
+        if w.size:  # the comparisons are written so that NaN fails them
+            if not np.all((w >= 0.0) & (w <= 1.0)):
                 raise ValueError("responsibilities must lie in [0, 1]")
-            if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9:
+            if not np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9):
                 raise ValueError("responsibility rows must sum to 1 within 1e-9")
 
     @classmethod
@@ -123,7 +124,8 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
     sigma = (centered * row_weight[:, None]).T @ centered / total
     sigma = 0.5 * (sigma + sigma.T)
 
-    ridge = beta * np.eye(z.shape[1])
+    eye = np.eye(z.shape[1])
+    ridge = beta * eye
     params = []
     for k in range(w.shape[1]):
         # Rows the class gives zero weight would only add exact zeros.
@@ -137,7 +139,7 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         q = lam * sigma_k + (1.0 - lam) * sigma + ridge
         q = 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
         params.append(
-            ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q), count=count, sigma_k=sigma_k)
+            ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q, eye), count=count, sigma_k=sigma_k)
         )
     return params, TaskStats(mu=mu_task, sigma=sigma)
 

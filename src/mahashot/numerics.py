@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DimensionMismatch,
@@ -82,18 +82,25 @@ def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
         raise NotSymmetric(
             f"matrix is asymmetric beyond {SYMMETRY_ATOL:g} absolute tolerance"
         )
+    return _factorize(q, np.eye(q.shape[0]), jitter_schedule)
 
-    eye = np.eye(q.shape[0])
+
+def _factorize(q: np.ndarray, eye: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
+    """:func:`spd_factorize` without its checks, for a symmetric ``q`` and ``eye`` = I.
+
+    A NaN or Inf in ``q`` reaches ``diag(lower)`` or fails every try: ``NonFiniteInput``."""
     for eps in jitter_schedule:
         try:
             lower = np.linalg.cholesky(q + eps * eye)
         except np.linalg.LinAlgError:
             continue
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+        if not np.isfinite(logdet):
+            break
         return SpdFactor(lower=lower, logdet=logdet, jitter=float(eps))
-    raise FactorizationFailed(
-        f"Cholesky failed for all jitter values {tuple(jitter_schedule)}"
-    )
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteInput("matrix contains NaN or Inf")
+    raise FactorizationFailed(f"Cholesky failed for all jitter values {tuple(jitter_schedule)}")
 
 
 def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:
@@ -105,6 +112,18 @@ def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _solve_lower(f: SpdFactor, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` (``L.T x = b`` if transposed) as scipy's solve_triangular does."""
+    lower = f.lower
+    if lower.flags.f_contiguous:
+        x, info = dtrtrs(lower, b, lower=1, trans=int(transposed))
+    else:  # dtrtrs takes Fortran order: solve the transposed system on lower.T
+        x, info = dtrtrs(lower.T, b, lower=0, trans=int(not transposed))
+    if info:
+        raise FactorizationFailed(f"triangular solve failed: dtrtrs info {info}")
+    return x
+
+
 def mahalanobis_sq(f: SpdFactor, a: np.ndarray, b: np.ndarray) -> float:
     """Squared Mahalanobis distance (a - b)^T Q^-1 (a - b).
 
@@ -114,7 +133,7 @@ def mahalanobis_sq(f: SpdFactor, a: np.ndarray, b: np.ndarray) -> float:
     """
     a = _check_vector(f, a, "a")
     b = _check_vector(f, b, "b")
-    y = solve_triangular(f.lower, a - b, lower=True, check_finite=False)
+    y = _solve_lower(f, a - b)
     return float(y @ y)
 
 
@@ -128,15 +147,14 @@ def mahalanobis_sq_many(f: SpdFactor, points: np.ndarray, center: np.ndarray) ->
         )
     if points.shape[0] == 0:
         return np.zeros(0)
-    y = solve_triangular(f.lower, (points - center).T, lower=True, check_finite=False)
+    y = _solve_lower(f, (points - center).T)
     return np.einsum("ij,ij->j", y, y)
 
 
 def solve_spd(f: SpdFactor, rhs: np.ndarray) -> np.ndarray:
     """Apply Q^-1 to a vector through the two triangular solves."""
     rhs = _check_vector(f, rhs, "rhs")
-    y = solve_triangular(f.lower, rhs, lower=True, check_finite=False)
-    return solve_triangular(f.lower.T, y, lower=False, check_finite=False)
+    return _solve_lower(f, _solve_lower(f, rhs), transposed=True)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

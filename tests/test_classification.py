@@ -125,6 +125,9 @@ class TestGmmRule:
             AssignmentRule("gmm", prior=(0.5, 0.6))
         with pytest.raises(ValueError):
             AssignmentRule("nearest")
+        for prior in ((np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5), (1.5, -np.inf)):
+            with pytest.raises(ValueError):
+                AssignmentRule("gmm", prior=prior)
 
     def test_prior_length_checked(self):
         params = params_at([[0.0], [1.0]], [np.eye(1), np.eye(1)])

@@ -4,10 +4,14 @@ import pytest
 from mahashot import (
     DegenerateClass,
     DimensionMismatch,
+    NonFiniteInput,
+    RefineConfig,
     Responsibilities,
     Task,
     estimate_unweighted,
     estimate_weighted,
+    refine,
+    spd_factorize,
 )
 from conftest import make_task, without_query
 from oracles import naive_unweighted, naive_weighted
@@ -281,3 +285,72 @@ class TestResponsibilities:
             Responsibilities(w=np.array([[0.5, 0.4]]), n_support=0)
         with pytest.raises(ValueError):
             Responsibilities(w=np.array([[1.2, -0.2]]), n_support=0)
+        for w in ([[1.0, 0.0], [np.nan, np.nan]], [[np.nan, 1.0]], [[0.5, 0.5], [np.nan, 0.5]]):
+            with pytest.raises(ValueError):  # NaN must fail the checks
+                Responsibilities(w=np.array(w), n_support=1)
+
+
+def random_resp(rng, task):
+    raw = rng.uniform(0.05, 1.0, size=(task.n_query, task.way))
+    return Responsibilities.build(task, raw / raw.sum(axis=1, keepdims=True))
+
+
+class TestKernelFactorization:
+    """The kernel factorizes through an unchecked core; the checked public
+    ``spd_factorize`` must give the same factor bit for bit."""
+
+    @staticmethod
+    def check_params(params):
+        for p in params:
+            f = spd_factorize(p.q)
+            assert f.lower.tobytes() == p.q_factor.lower.tobytes()
+            assert f.logdet == p.q_factor.logdet and f.jitter == p.q_factor.jitter
+        return [p.q_factor.jitter for p in params]
+
+    def both_estimators(self, rng, task, beta):
+        params, _ = estimate_unweighted(task, beta)
+        jitters = self.check_params(params)
+        if task.n_query:
+            params, _ = estimate_weighted(task, random_resp(rng, task), beta)
+            jitters += self.check_params(params)
+        return jitters
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_low_shot_tasks(self, rng, beta):
+        for _ in range(20):
+            self.both_estimators(rng, make_task(rng, way=5, shots=1, queries=50, d=16), beta)
+
+    def test_d_above_n_at_beta_zero_needs_jitter(self, rng):
+        jitters = []
+        for _ in range(20):
+            task = make_task(rng, way=3, shots=[1, 2, 3], queries=int(rng.integers(0, 4)), d=12)
+            jitters += self.both_estimators(rng, task, 0.0)
+        assert any(j > 0.0 for j in jitters)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_duplicate_support_rows(self, rng, beta):
+        for _ in range(10):
+            task = make_task(rng, way=3, shots=2, queries=6, d=5)
+            doubled = Task(
+                support_z=np.vstack([task.support_z, task.support_z[:3]]),
+                support_y=np.concatenate([task.support_y, task.support_y[:3]]),
+                query_z=task.query_z,
+                truth=task.truth,
+                way=task.way,
+            )
+            self.both_estimators(rng, doubled, beta)
+
+    def test_overflowing_embeddings_raise_non_finite(self, rng):
+        task = make_task(rng, way=3, shots=2, queries=6, d=4)
+        huge = Task(
+            support_z=task.support_z * 1e200,
+            support_y=task.support_y,
+            query_z=task.query_z * 1e200,
+            truth=task.truth,
+            way=task.way,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteInput):
+                estimate_unweighted(huge)
+            with pytest.raises(NonFiniteInput):
+                refine(huge, RefineConfig())

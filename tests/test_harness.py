@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mahashot.cli as cli
+import mahashot.estimation as estimation
 import mahashot.harness as harness
 from mahashot import (
     AblationSpec,
@@ -320,6 +321,7 @@ class TestBenchmarkHooks:
         hooks = [
             (cli, "evaluate"), (cli, "run_ablation"), (cli, "render_report"),
             (harness, "sample_task"), (harness, "refine"), (harness, "_episode_chunk"),
+            (estimation, "spd_factorize"),
         ]
         for module, name in hooks:
             spy(module, name)

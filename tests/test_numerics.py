@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mahashot import (
     DimensionMismatch,
@@ -9,6 +10,7 @@ from mahashot import (
     FactorizationFailed,
     NonFiniteInput,
     NotSymmetric,
+    SpdFactor,
     mahalanobis_sq,
     mahalanobis_sq_many,
     solve_spd,
@@ -125,6 +127,46 @@ class TestMahalanobis:
         f = spd_factorize(q)
         v = rng.standard_normal(5)
         np.testing.assert_allclose(q @ solve_spd(f, v), v, atol=1e-9)
+
+
+class TestTriangularSolves:
+    """The solves call LAPACK directly; scipy's ``solve_triangular`` is the
+    reference route they must match bit for bit."""
+
+    @staticmethod
+    def factors(rng, d):
+        f = spd_factorize(random_spd(rng, d))
+        fortran = np.asfortranarray(f.lower)
+        assert f.lower.flags.c_contiguous and (d == 1 or not fortran.flags.c_contiguous)
+        return f, SpdFactor(lower=fortran, logdet=f.logdet, jitter=f.jitter)
+
+    def test_bitwise_equal_to_solve_triangular(self, rng):
+        for d in (1, 2, 5, 16, 33):
+            for f in self.factors(rng, d):
+                pts, center = rng.standard_normal((7, d)), rng.standard_normal(d)
+                y = solve_triangular(f.lower, (pts - center).T, lower=True, check_finite=False)
+                assert np.array_equal(mahalanobis_sq_many(f, pts, center),
+                                      np.einsum("ij,ij->j", y, y))
+                y = solve_triangular(f.lower, pts[0] - center, lower=True, check_finite=False)
+                assert mahalanobis_sq(f, pts[0], center) == float(y @ y)
+                y = solve_triangular(f.lower, center, lower=True, check_finite=False)
+                x = solve_triangular(f.lower.T, y, lower=False, check_finite=False)
+                assert np.array_equal(solve_spd(f, center), x)
+
+    def test_zero_rows(self, rng):
+        for f in self.factors(rng, 4):
+            out = mahalanobis_sq_many(f, np.zeros((0, 4)), np.zeros(4))
+            assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_zero_diagonal_raises_factorization_failed(self):
+        f = SpdFactor(lower=np.diag([1.0, 0.0]), logdet=-np.inf, jitter=0.0)
+        v = np.ones(2)
+        with pytest.raises(FactorizationFailed):
+            mahalanobis_sq_many(f, v[None, :], np.zeros(2))
+        with pytest.raises(FactorizationFailed):
+            mahalanobis_sq(f, v, np.zeros(2))
+        with pytest.raises(FactorizationFailed):
+            solve_spd(f, v)
 
 
 class TestStableSoftmax:

@@ -125,6 +125,31 @@ class TestDeterminism:
         np.testing.assert_array_equal(task.query_z, before[1])
 
 
+class TestQueryOrderEquivariance:
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_permuting_queries_permutes_labels(self, rng, rule):
+        cfg = RefineConfig(min_steps=2, max_steps=6, rule=rule)
+        stops = set()
+        for _ in range(30):
+            task = make_task(rng, way=4, d=5, queries=16, spread=1.5)
+            perm = rng.permutation(task.n_query)
+            permuted = Task(
+                support_z=task.support_z,
+                support_y=task.support_y,
+                query_z=task.query_z[perm],
+                truth=task.truth[perm],
+                way=task.way,
+            )
+            t1, t2 = refine(task, cfg), refine(permuted, cfg)
+            assert t2.iterations_run == t1.iterations_run
+            assert t2.converged_early == t1.converged_early
+            assert len(t2.labels_per_iteration) == len(t1.labels_per_iteration)
+            for a, b in zip(t1.labels_per_iteration, t2.labels_per_iteration):
+                np.testing.assert_array_equal(b, a[perm])
+            stops.add((t1.iterations_run, t1.converged_early))
+        assert len(stops) > 1  # the tasks do not all stop the same way
+
+
 class TestClassifyTask:
     def test_single_class_single_query(self):
         task = Task(
