@@ -73,59 +73,3 @@ from .sampler import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssignmentRule",
-    "AblationGrid",
-    "AblationSpec",
-    "ClassParams",
-    "DEFAULT_JITTER",
-    "DegenerateClass",
-    "DimensionMismatch",
-    "EmbeddingDataset",
-    "EmptyClass",
-    "EmptyInput",
-    "EvalReport",
-    "FactorizationFailed",
-    "FixedSamplerConfig",
-    "GMM",
-    "GridCell",
-    "InsufficientClasses",
-    "InsufficientExamples",
-    "InvalidSpec",
-    "MAHALANOBIS_SOFTMAX",
-    "MahashotError",
-    "NonFiniteInput",
-    "NotSymmetric",
-    "ParseError",
-    "RefineConfig",
-    "RefineTrace",
-    "Responsibilities",
-    "SpdFactor",
-    "SyntheticSpec",
-    "Task",
-    "TaskStats",
-    "VariableSamplerConfig",
-    "argmax_labels",
-    "bregman_divergence",
-    "classify_many",
-    "classify_task",
-    "emit_report",
-    "episode_rng",
-    "estimate_unweighted",
-    "estimate_weighted",
-    "evaluate",
-    "generate_synthetic",
-    "load_dataset",
-    "mahalanobis_sq",
-    "mahalanobis_sq_many",
-    "refine",
-    "render_report",
-    "run_ablation",
-    "sample_fixed",
-    "sample_task",
-    "sample_variable",
-    "solve_spd",
-    "spd_factorize",
-    "write_dataset",
-]

@@ -28,10 +28,8 @@ from .sampler import FixedSamplerConfig, VariableSamplerConfig, sample_task
 from .selftest import run_selftest
 
 
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
-    return tuple(int(x) for x in str(text).split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_common(p: argparse.ArgumentParser, *, report_format=True):
@@ -131,15 +129,10 @@ def _cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _episode_records(dataset, cfg, n_episodes):
-    for i in range(n_episodes):
-        task = sample_task(dataset, cfg, i)
-        yield i, task
-
-
 def _dump_episodes_json(dataset, cfg, n_episodes) -> str:
     records = []
-    for i, task in _episode_records(dataset, cfg, n_episodes):
+    for i in range(n_episodes):
+        task = sample_task(dataset, cfg, i)
         records.append(
             {
                 "index": i,
@@ -164,7 +157,8 @@ def _dump_episodes_csv(dataset, cfg, n_episodes) -> str:
     header = ["episode", "role", "label", "class_name"]
     header += [f"f_{j}" for j in range(dataset.dim)]
     writer.writerow(header)
-    for i, task in _episode_records(dataset, cfg, n_episodes):
+    for i in range(n_episodes):
+        task = sample_task(dataset, cfg, i)
         names = task.class_names or tuple(str(k) for k in range(task.way))
         for z, y in zip(task.support_z, task.support_y):
             writer.writerow([i, "support", int(y), names[int(y)]] + [f"{x:.17g}" for x in z])

@@ -75,11 +75,11 @@ class Responsibilities:
             raise DimensionMismatch("responsibilities must be a 2-d matrix")
         if not 0 <= self.n_support <= w.shape[0]:
             raise DimensionMismatch("n_support out of range")
-        if w.size:  # the comparisons are written so that NaN fails them
-            if not np.all((w >= 0.0) & (w <= 1.0)):
-                raise ValueError("responsibilities must lie in [0, 1]")
-            if not np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9):
-                raise ValueError("responsibility rows must sum to 1 within 1e-9")
+        # The comparisons are written so that NaN fails them.
+        if not np.all((w >= 0.0) & (w <= 1.0)):
+            raise ValueError("responsibilities must lie in [0, 1]")
+        if not np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9):
+            raise ValueError("responsibility rows must sum to 1 within 1e-9")
 
     @classmethod
     def build(cls, task: Task, query_probs: np.ndarray) -> "Responsibilities":

@@ -254,14 +254,29 @@ def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> Eva
     )
 
 
-def _refine_config_echo(cfg: RefineConfig) -> dict:
-    return {
-        "min_steps": cfg.min_steps,
-        "max_steps": cfg.max_steps,
-        "rule": cfg.rule.kind,
-        "prior": list(cfg.rule.prior) if cfg.rule.prior is not None else None,
-        "beta": cfg.beta,
+def _cell(
+    steps: list[list[EpisodeOutcome]],
+    sampler_cfg: SamplerConfig,
+    refine_cfg: RefineConfig,
+    method: str,
+    **echo,
+) -> EvalReport:
+    """The report of ``refine_cfg`` over episodes' steps. Its config echo
+    holds the sampler, the refine config, then ``echo`` in order."""
+    rule = refine_cfg.rule
+    config = {
+        "sampler": dataclasses.asdict(sampler_cfg),
+        "refine": {
+            "min_steps": refine_cfg.min_steps,
+            "max_steps": refine_cfg.max_steps,
+            "rule": rule.kind,
+            "prior": list(rule.prior) if rule.prior is not None else None,
+            "beta": refine_cfg.beta,
+        },
+        **echo,
+        "shot_bin_max": SHOT_BIN_MAX,
     }
+    return _aggregate([_stop(s, refine_cfg) for s in steps], method, config)
 
 
 def evaluate(
@@ -281,15 +296,8 @@ def evaluate(
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     steps = _trajectories(ds, [(sampler_cfg, refine_cfg)], n_episodes, parallelism)
-    outcomes = [_stop(s, refine_cfg) for s in steps]
     method = f"{refine_cfg.rule.kind}(min={refine_cfg.min_steps},max={refine_cfg.max_steps})"
-    config = {
-        "sampler": dataclasses.asdict(sampler_cfg),
-        "refine": _refine_config_echo(refine_cfg),
-        "episodes": n_episodes,
-        "shot_bin_max": SHOT_BIN_MAX,
-    }
-    return _aggregate(outcomes, method, config)
+    return _cell(steps, sampler_cfg, refine_cfg, method, episodes=n_episodes)
 
 
 def run_ablation(
@@ -328,29 +336,16 @@ def run_ablation(
 
     cells = []
     for mn, mx, rule_kind, qpc in grid:
-        refine_cfg = RefineConfig(
-            min_steps=min(mn, mx),
-            max_steps=mx,
-            rule=AssignmentRule(kind=rule_kind),
-            beta=spec.beta,
+        report = _cell(
+            pooled[rule_kind, qpc],
+            dataclasses.replace(sampler_cfg, query_per_class=qpc),
+            RefineConfig(min(mn, mx), mx, rule=AssignmentRule(kind=rule_kind), beta=spec.beta),
+            f"{rule_kind}(min={mn},max={mx},q={qpc})",
+            episodes=spec.episodes,
+            repeats=spec.repeats,
+            seed=spec.seed,
         )
-        cell_sampler = dataclasses.replace(sampler_cfg, query_per_class=qpc)
-        outcomes = [_stop(s, refine_cfg) for s in pooled[rule_kind, qpc]]
-        config = {
-            "sampler": dataclasses.asdict(cell_sampler),
-            "refine": _refine_config_echo(refine_cfg),
-            "episodes": spec.episodes,
-            "repeats": spec.repeats,
-            "seed": spec.seed,
-            "shot_bin_max": SHOT_BIN_MAX,
-        }
-        method = f"{rule_kind}(min={mn},max={mx},q={qpc})"
-        report = _aggregate(outcomes, method, config)
-        cells.append(
-            GridCell(
-                min_steps=mn, max_steps=mx, rule=rule_kind, query_per_class=qpc, report=report
-            )
-        )
+        cells.append(GridCell(mn, mx, rule_kind, qpc, report))
     axes = {
         "min_steps": list(spec.min_steps),
         "max_steps": list(spec.max_steps),

@@ -58,8 +58,8 @@ class RefineTrace:
 
     ``labels_per_iteration[i]`` holds the hard query labels after
     iteration i+1. ``converged_early`` is True iff the loop stopped
-    because labels stabilized, False when it ran into the ``max_steps``
-    cap.
+    because labels stabilized, or at once because the task has no query
+    rows; False when it ran into the ``max_steps`` cap.
     """
 
     iterations_run: int
@@ -71,33 +71,23 @@ class RefineTrace:
 
 def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
     """Run the refinement loop on one task and return its full trace."""
-    params, _ = estimate_unweighted(task, cfg.beta)
-    probs = classify_many(cfg.rule, params, task.query_z)
-    resp = Responsibilities.build(task, probs)
-    labels = argmax_labels(probs)
-    history = [labels]
-    iterations = 1
-    converged = False
-
-    if task.n_query == 0:
-        # Nothing to refine: weighted estimation over one-hot support rows
-        # reproduces the first estimate verbatim, forever.
-        return RefineTrace(1, history, True, resp, params)
-
-    while iterations < cfg.max_steps:
-        params, _ = estimate_weighted(task, resp, cfg.beta)
+    history: list[np.ndarray] = []
+    for t in range(1, cfg.max_steps + 1):
+        if t == 1:
+            params, _ = estimate_unweighted(task, cfg.beta)
+        else:
+            params, _ = estimate_weighted(task, resp, cfg.beta)
         probs = classify_many(cfg.rule, params, task.query_z)
-        new_labels = argmax_labels(probs)
         resp = Responsibilities.build(task, probs)
-        iterations += 1
-        history.append(new_labels)
-        stable = bool(np.array_equal(new_labels, labels))
-        labels = new_labels
-        if stable and iterations >= cfg.min_steps:
-            converged = True
+        history.append(argmax_labels(probs))
+        # With no query rows, weighted estimation over the one-hot support
+        # rows would reproduce the first estimate verbatim, forever.
+        converged = task.n_query == 0 or (
+            t > 1 and t >= cfg.min_steps and np.array_equal(history[-1], history[-2])
+        )
+        if converged:
             break
-
-    return RefineTrace(iterations, history, converged, resp, params)
+    return RefineTrace(t, history, converged, resp, params)
 
 
 def classify_task(task: Task, cfg: RefineConfig) -> np.ndarray:

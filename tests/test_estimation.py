@@ -289,6 +289,11 @@ class TestResponsibilities:
             with pytest.raises(ValueError):  # NaN must fail the checks
                 Responsibilities(w=np.array(w), n_support=1)
 
+    def test_rows_without_columns_rejected(self):
+        with pytest.raises(ValueError):  # an empty row cannot sum to 1
+            Responsibilities(w=np.zeros((3, 0)), n_support=1)
+        assert Responsibilities(w=np.zeros((0, 3)), n_support=0).way == 3
+
 
 def random_resp(rng, task):
     raw = rng.uniform(0.05, 1.0, size=(task.n_query, task.way))

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import multiprocessing
 import pickle
 from multiprocessing.reduction import ForkingPickler
 
@@ -298,6 +299,21 @@ class TestPool:
             shipped.append(pool_log["job_bytes"])
         assert shipped[0] > 0
         assert shipped[0] == shipped[1]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_fresh_start_workers_render_same_bytes(self, small_ds, monkeypatch, method):
+        # Workers that do not fork pin their own BLAS thread in _init_worker.
+        def render(parallelism):
+            report = evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=parallelism)
+            grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=parallelism)
+            return render_report(report, "json"), render_report(grid, "json")
+
+        serial = render(1)
+        pool = functools.partial(
+            harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+        )
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        assert render(2) == serial
 
 
 class TestBenchmarkHooks:

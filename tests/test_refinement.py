@@ -52,9 +52,12 @@ class TestSingleIterationBaseline:
 
 
 class TestEmptyQuery:
-    def test_single_iteration_with_unweighted_params(self, rng):
+    # With no query rows refine stops after one iteration whatever the
+    # bounds: a min_steps above 1, a cap of 1, or a min_steps at the cap.
+    @pytest.mark.parametrize(("min_steps", "max_steps"), [(2, 6), (0, 1), (5, 5)])
+    def test_single_iteration_with_unweighted_params(self, rng, min_steps, max_steps):
         task = without_query(make_task(rng, way=3, d=4))
-        trace = refine(task, RefineConfig(min_steps=2, max_steps=6))
+        trace = refine(task, RefineConfig(min_steps=min_steps, max_steps=max_steps))
         assert trace.iterations_run == 1
         assert trace.converged_early
         params, _ = estimate_unweighted(task, 1.0)
