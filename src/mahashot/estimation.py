@@ -5,8 +5,10 @@ The support-only estimate weights the support rows one-hot by label; the
 weighted one stacks support and query rows under the responsibilities, so
 it reduces exactly to the former on an empty query set. Each class sums
 only over the rows it gives nonzero weight: O(n d^2) support-only,
-O((n + K m) d^2) weighted. Covariance divisors are population-style
-(n, not n - 1) throughout.
+O((n + K m) d^2) weighted, plus padding to each block's longest class.
+Classes are estimated and factorized in stacked blocks of bounded size;
+a block in which some class needs jitter falls back one class at a time.
+Covariance divisors are population-style (n, not n - 1) throughout.
 
 The shrinkage blend for class k with (soft) count c is
 ``Q_k = lam * Sigma_k + (1 - lam) * Sigma + beta * I`` with
@@ -22,13 +24,17 @@ import numpy as np
 
 from .data import Task
 from .errors import DegenerateClass, DimensionMismatch
-# Unchecked (``_estimate`` symmetrizes q), under the name the kernel looks up.
-from .numerics import SpdFactor, _factorize as spd_factorize
+# Unchecked (``_estimate`` symmetrizes q), under the names the kernel looks up.
+from .numerics import SpdFactor, _factorize as spd_factorize, _factorize_stack
 
 # Soft class counts below this are useless as divisors; estimation raises
 # DegenerateClass. Refinement never meets it: support rows are one-hot, so
 # every soft count there is at least 1.
 EPS_COUNT = 1e-8
+
+# Floats a block of classes may gather (classes x widest class rows x d):
+# one or two classes a block at d = 128, a whole low-shot task at d = 16.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,10 @@ class Responsibilities:
             raise DimensionMismatch(
                 f"query_probs shape {query_probs.shape} != ({task.n_query}, {task.way})"
             )
-        support = np.zeros((task.n_support, task.way))
-        support[np.arange(task.n_support), task.support_y] = 1.0
-        return cls(w=np.vstack([support, query_probs]), n_support=task.n_support)
+        w = np.zeros((task.n_support + task.n_query, task.way))
+        w[np.arange(task.n_support), task.support_y] = 1.0
+        w[task.n_support :] = query_probs
+        return cls(w=w, n_support=task.n_support)
 
     @property
     def way(self) -> int:
@@ -104,6 +111,20 @@ class Responsibilities:
     @property
     def query(self) -> np.ndarray:
         return self.w[self.n_support :]
+
+
+def _blocks(nnz: list[int], d: int):
+    """Split classes, in label order, into runs ``(k0, k1, width)`` that
+    gather at most ``_BLOCK_FLOATS`` floats each; ``width`` is the run's
+    largest row count. A class over the limit runs alone."""
+    k0 = 0
+    while k0 < len(nnz):
+        k1, width = k0 + 1, nnz[k0]
+        while k1 < len(nnz) and (k1 + 1 - k0) * max(width, nnz[k1]) * d <= _BLOCK_FLOATS:
+            width = max(width, nnz[k1])
+            k1 += 1
+        yield k0, k1, width
+        k0 = k1
 
 
 def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassParams], TaskStats]:
@@ -126,21 +147,36 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
 
     eye = np.eye(z.shape[1])
     ridge = beta * eye
+    # Rows a class gives zero weight would only add exact zeros, so each class
+    # gathers its nonzero-weight rows: class k's are rows[start[k]:][:nnz[k]].
+    classes, rows = np.nonzero(w.T)
+    nnz = np.bincount(classes, minlength=w.shape[1])
+    start = np.cumsum(nnz) - nnz
     params = []
-    for k in range(w.shape[1]):
-        # Rows the class gives zero weight would only add exact zeros.
-        rows = np.flatnonzero(w[:, k])
-        wk, zk = w[rows, k], z[rows]
-        count = float(counts[k])
-        mu_k = (wk @ zk) / count
-        centered_k = zk - mu_k
-        sigma_k = (centered_k * wk[:, None]).T @ centered_k / count
-        lam = count / (count + 1.0)
+    for k0, k1, width in _blocks(nnz.tolist(), z.shape[1]):
+        # Pad each class to the block's widest with weight-0 copies of its
+        # first row, which add exact zeros to every sum.
+        slot = np.arange(width)
+        real = slot < nnz[k0:k1, None]
+        idx = rows[start[k0:k1, None] + np.where(real, slot, 0)]  # (B, width)
+        wb = np.where(real, w[idx, np.arange(k0, k1)[:, None]], 0.0)
+        zb = z[idx]  # (B, width, d)
+        count = counts[k0:k1, None]
+        mu = (wb[:, None, :] @ zb)[:, 0] / count
+        centered_b = zb - mu[:, None, :]
+        sigma_k = (centered_b * wb[..., None]).transpose(0, 2, 1) @ centered_b / count[..., None]
+        lam = (count / (count + 1.0))[..., None]
         q = lam * sigma_k + (1.0 - lam) * sigma + ridge
-        q = 0.5 * (q + q.T)  # kill rounding asymmetry from the matmuls
-        params.append(
-            ClassParams(mu=mu_k, q=q, q_factor=spd_factorize(q, eye), count=count, sigma_k=sigma_k)
-        )
+        q = 0.5 * (q + q.transpose(0, 2, 1))  # kill rounding asymmetry from the matmuls
+        stacked = _factorize_stack(q)
+        if stacked is None:  # some class needs jitter, or q is not finite
+            factors = [spd_factorize(qk, eye) for qk in q]
+        else:
+            factors = [SpdFactor(lower=f, logdet=float(g), jitter=0.0) for f, g in zip(*stacked)]
+        params += [
+            ClassParams(mu=mu[b], q=q[b], q_factor=f, count=float(count[b, 0]), sigma_k=sigma_k[b])
+            for b, f in enumerate(factors)
+        ]
     return params, TaskStats(mu=mu_task, sigma=sigma)
 
 

@@ -103,6 +103,23 @@ def _factorize(q: np.ndarray, eye: np.ndarray, jitter_schedule=DEFAULT_JITTER) -
     raise FactorizationFailed(f"Cholesky failed for all jitter values {tuple(jitter_schedule)}")
 
 
+def _factorize_stack(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Cholesky factors and log-determinants of a (B, d, d) stack of symmetric
+    matrices, without jitter; None if any matrix fails or has a non-finite logdet.
+
+    numpy factorizes a stack one matrix at a time, so each factor and logdet
+    is bit for bit what :func:`_factorize` returns when no jitter is needed.
+    """
+    try:
+        lower = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        return None
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+    if not np.all(np.isfinite(logdet)):
+        return None
+    return lower, logdet
+
+
 def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] != f.dim:

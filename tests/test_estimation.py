@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mahashot.estimation as estimation
 from mahashot import (
     DegenerateClass,
     DimensionMismatch,
@@ -300,24 +303,53 @@ def random_resp(rng, task):
     return Responsibilities.build(task, raw / raw.sum(axis=1, keepdims=True))
 
 
+def per_class_reference(z, w, beta):
+    """(mu, q, sigma_k, count) of each class, one class at a time over the
+    rows it gives nonzero weight."""
+    row_weight = w.sum(axis=1)
+    mu = row_weight @ z / row_weight.sum()
+    sigma = (z - mu).T * row_weight @ (z - mu) / row_weight.sum()
+    out = []
+    for k in range(w.shape[1]):
+        rows = np.flatnonzero(w[:, k])
+        wk, zk = w[rows, k], z[rows]
+        count = wk.sum()
+        mu_k = wk @ zk / count
+        sigma_k = (zk - mu_k).T * wk @ (zk - mu_k) / count
+        lam = count / (count + 1.0)
+        q = lam * sigma_k + (1.0 - lam) * sigma + beta * np.eye(z.shape[1])
+        out.append((mu_k, q, sigma_k, count))
+    return out
+
+
 class TestKernelFactorization:
-    """The kernel factorizes through an unchecked core; the checked public
-    ``spd_factorize`` must give the same factor bit for bit."""
+    """The kernel estimates and factorizes classes in stacked blocks. Each
+    class must match a per-class reference, and the checked public
+    ``spd_factorize`` must give its factor bit for bit."""
 
     @staticmethod
-    def check_params(params):
-        for p in params:
+    def check_params(params, z, w, beta):
+        reference = per_class_reference(z, w, beta)
+        for p, (mu, q, sigma_k, count) in zip(params, reference, strict=True):
+            for got, want in ((p.mu, mu), (p.q, q), (p.sigma_k, sigma_k)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert p.count == pytest.approx(count, rel=1e-12, abs=1e-12)
             f = spd_factorize(p.q)
             assert f.lower.tobytes() == p.q_factor.lower.tobytes()
             assert f.logdet == p.q_factor.logdet and f.jitter == p.q_factor.jitter
         return [p.q_factor.jitter for p in params]
 
-    def both_estimators(self, rng, task, beta):
+    def both_estimators(self, rng, task, beta, resp=None):
+        """Jitters of each estimate's classes: support-only, then weighted."""
         params, _ = estimate_unweighted(task, beta)
-        jitters = self.check_params(params)
+        one_hot = np.eye(task.way)[task.support_y]
+        jitters = [self.check_params(params, task.support_z, one_hot, beta)]
         if task.n_query:
-            params, _ = estimate_weighted(task, random_resp(rng, task), beta)
-            jitters += self.check_params(params)
+            if resp is None:
+                resp = random_resp(rng, task)
+            params, _ = estimate_weighted(task, resp, beta)
+            z = np.vstack([task.support_z, task.query_z])
+            jitters.append(self.check_params(params, z, resp.w, beta))
         return jitters
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
@@ -330,7 +362,36 @@ class TestKernelFactorization:
         for _ in range(20):
             task = make_task(rng, way=3, shots=[1, 2, 3], queries=int(rng.integers(0, 4)), d=12)
             jitters += self.both_estimators(rng, task, 0.0)
-        assert any(j > 0.0 for j in jitters)
+        assert any(max(js) > 0.0 for js in jitters)
+
+    def test_beta_zero_block_with_one_jittered_class(self, rng):
+        # With d equal to the support size the task covariance is singular
+        # in one direction, and rounding decides which classes factorize
+        # without jitter: the block falls back class by class.
+        jitters = []
+        for _ in range(10):
+            shots = [int(s) for s in rng.integers(1, 4, size=4)]
+            task = make_task(rng, way=4, shots=shots, queries=0, d=sum(shots))
+            jitters += self.both_estimators(rng, task, 0.0)
+        assert any(min(js) == 0.0 < max(js) for js in jitters)
+
+    def test_d128_task_spans_several_blocks(self, rng):
+        task = make_task(rng, way=12, shots=[int(s) for s in rng.integers(1, 30, size=12)],
+                         queries=120, d=128)
+        nnz = [int((task.support_y == k).sum()) for k in range(task.way)]
+        assert len(list(estimation._blocks([n + task.n_query for n in nnz], task.dim))) > 1
+        for beta in (1.0, 0.0):
+            self.both_estimators(rng, task, beta)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_unequal_rows_and_zero_weights(self, rng, beta):
+        for _ in range(10):
+            task = make_task(rng, way=4, shots=[1, 5, 2, 8], queries=12, d=6)
+            probs = rng.uniform(0.05, 1.0, size=(task.n_query, task.way))
+            probs[0] = [0.5, 0.5, 0.0, 0.0]  # exact zeros, as softmax underflow gives
+            probs[1:4] = np.eye(task.way)[rng.integers(0, task.way, size=3)]
+            probs /= probs.sum(axis=1, keepdims=True)
+            self.both_estimators(rng, task, beta, Responsibilities.build(task, probs))
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
     def test_duplicate_support_rows(self, rng, beta):
@@ -359,3 +420,18 @@ class TestKernelFactorization:
                 estimate_unweighted(huge)
             with pytest.raises(NonFiniteInput):
                 refine(huge, RefineConfig())
+
+
+class TestBlockMemory:
+    def test_peak_of_a_50_way_d128_estimate(self, rng):
+        # The returned parameters are about 20 MB; gathering every class at
+        # once, padded to the widest, would take the peak past 80 MB.
+        task = make_task(rng, way=50, shots=10, queries=500, d=128)
+        resp = random_resp(rng, task)
+        tracemalloc.start()
+        try:
+            estimate_weighted(task, resp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

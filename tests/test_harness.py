@@ -337,7 +337,7 @@ class TestBenchmarkHooks:
         hooks = [
             (cli, "evaluate"), (cli, "run_ablation"), (cli, "render_report"),
             (harness, "sample_task"), (harness, "refine"), (harness, "_episode_chunk"),
-            (estimation, "spd_factorize"),
+            (estimation, "_factorize_stack"), (estimation, "spd_factorize"),
         ]
         for module, name in hooks:
             spy(module, name)
@@ -347,6 +347,16 @@ class TestBenchmarkHooks:
                   "--episodes", "2", "--out", str(tmp_path / "out")]
         assert cli.main(["eval", *common, "--parallelism", "1"]) == 0
         assert cli.main(["ablate", *common, "--repeats", "1", "--parallelism", "2"]) == 0
+        # spd_factorize runs only for classes that need jitter; support-only
+        # estimates with d > n at beta = 0 do.
+        wide = tmp_path / "wide.emb"
+        write_dataset(
+            generate_synthetic(SyntheticSpec(n_classes=6, dim=12, per_class=20, seed=5)),
+            wide, "packed-binary",
+        )
+        assert cli.main(["eval", "--dataset", str(wide), "--way-min", "3", "--way-max", "3",
+                         "--shot-min", "1", "--shot-max", "3", "--beta", "0", "--episodes", "2",
+                         "--out", str(tmp_path / "wide_out")]) == 0
         # _episode_chunk runs only in pool workers: check it is what the pool maps.
         assert called == {name for _, name in hooks} - {"_episode_chunk"}
         assert pool_log["starts"] == 1
