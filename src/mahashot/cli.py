@@ -32,11 +32,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser, *, report_format=True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    if report_format:
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _add_dataset(p: argparse.ArgumentParser):
@@ -168,6 +167,8 @@ def _dump_episodes_csv(dataset, cfg, n_episodes) -> str:
 
 
 def _cmd_sample(args) -> int:
+    if args.episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {args.episodes}")
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     cfg = _sampler_config(args)
     if args.format == "json":

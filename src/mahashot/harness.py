@@ -72,9 +72,8 @@ class EpisodeFailure(MahashotError):
 
 @dataclass(frozen=True)
 class EpisodeOutcome:
-    """Per-episode measurements, keyed by episode index."""
+    """Per-episode measurements."""
 
-    index: int
     accuracy: float
     iterations_run: int
     converged_early: bool
@@ -154,7 +153,7 @@ def _trajectory(
             (int(shots[k]), float(class_hits[k] / per_class[k])) for k in np.flatnonzero(per_class)
         )
         stable = task.n_query == 0 or (t > 1 and np.array_equal(labels, history[t - 2]))
-        steps.append(EpisodeOutcome(index, float(np.mean(hits)), t, stable, recalls))
+        steps.append(EpisodeOutcome(float(np.mean(hits)), t, stable, recalls))
     return steps
 
 
@@ -314,14 +313,18 @@ def run_ablation(
     paired episode by episode. The step bounds only decide where a
     trajectory stops, so cells that differ only in them share one.
     """
-    grid = list(
-        itertools.product(spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class)
-    )
+    # Every cell's config is built, and so validated, before any episode runs.
+    grid = [
+        (mn, mx, kind, qpc, RefineConfig(min(mn, mx), mx, AssignmentRule(kind), spec.beta))
+        for mn, mx, kind, qpc in itertools.product(
+            spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class
+        )
+    ]
     # One trajectory per (rule, query count, repeat, episode), long enough
     # for every cell: the largest clamped min is min(max(mins), max(maxes)).
     longest_max = max(spec.max_steps, default=1)
     longest = (min(max(spec.min_steps, default=0), longest_max), longest_max)
-    streams = list(dict.fromkeys((rule_kind, qpc) for _, _, rule_kind, qpc in grid))
+    streams = list(dict.fromkeys((rule_kind, qpc) for _, _, rule_kind, qpc, _ in grid))
     runs = [
         (
             dataclasses.replace(sampler_cfg, query_per_class=qpc, seed=spec.seed + r),
@@ -335,28 +338,18 @@ def run_ablation(
     pooled = {stream: steps[i * n : (i + 1) * n] for i, stream in enumerate(streams)}
 
     cells = []
-    for mn, mx, rule_kind, qpc in grid:
+    for mn, mx, rule_kind, qpc, refine_cfg in grid:
         report = _cell(
             pooled[rule_kind, qpc],
             dataclasses.replace(sampler_cfg, query_per_class=qpc),
-            RefineConfig(min(mn, mx), mx, rule=AssignmentRule(kind=rule_kind), beta=spec.beta),
+            refine_cfg,
             f"{rule_kind}(min={mn},max={mx},q={qpc})",
             episodes=spec.episodes,
             repeats=spec.repeats,
             seed=spec.seed,
         )
         cells.append(GridCell(mn, mx, rule_kind, qpc, report))
-    axes = {
-        "min_steps": list(spec.min_steps),
-        "max_steps": list(spec.max_steps),
-        "rules": list(spec.rules),
-        "query_per_class": list(spec.query_per_class),
-        "episodes": spec.episodes,
-        "repeats": spec.repeats,
-        "seed": spec.seed,
-        "beta": spec.beta,
-    }
-    return AblationGrid(axes=axes, cells=tuple(cells))
+    return AblationGrid(axes=dataclasses.asdict(spec), cells=tuple(cells))
 
 
 # ---------------------------------------------------------------------------

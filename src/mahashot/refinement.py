@@ -92,5 +92,4 @@ def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
 
 def classify_task(task: Task, cfg: RefineConfig) -> np.ndarray:
     """Hard labels for the task's query set (lowest index wins ties)."""
-    trace = refine(task, cfg)
-    return argmax_labels(trace.final_resp.query)
+    return refine(task, cfg).labels_per_iteration[-1]

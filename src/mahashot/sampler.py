@@ -92,6 +92,21 @@ def _rescale_shots(shots: np.ndarray, cap: int) -> np.ndarray:
     return scaled
 
 
+def _task(blocks: list[tuple[np.ndarray, np.ndarray]], class_names: tuple[str, ...]) -> Task:
+    """The task whose class k has support rows ``blocks[k][0]`` and query
+    rows ``blocks[k][1]``, stacked class-major."""
+    support, query = zip(*blocks)
+    local = np.arange(len(blocks))
+    return Task(
+        support_z=np.vstack(support),
+        support_y=np.repeat(local, [rows.shape[0] for rows in support]),
+        query_z=np.vstack(query),
+        truth=np.repeat(local, [rows.shape[0] for rows in query]),
+        way=len(blocks),
+        class_names=class_names,
+    )
+
+
 def sample_variable(
     ds: EmbeddingDataset, cfg: VariableSamplerConfig, index: int
 ) -> Task:
@@ -124,24 +139,12 @@ def sample_variable(
     )
     shots = _rescale_shots(shots, cfg.support_cap)
 
-    support_parts, query_parts = [], []
-    support_labels, truth_labels = [], []
-    for local, (c, q_c, s_c) in enumerate(zip(chosen, n_query, shots)):
+    blocks = []
+    for c, q_c, s_c in zip(chosen, n_query, shots):
         rows = ds.classes[names[c]]
         perm = rng.permutation(rows.shape[0])
-        query_parts.append(rows[perm[:q_c]])
-        support_parts.append(rows[perm[q_c : q_c + s_c]])
-        truth_labels.append(np.full(q_c, local))
-        support_labels.append(np.full(s_c, local))
-
-    return Task(
-        support_z=np.vstack(support_parts),
-        support_y=np.concatenate(support_labels),
-        query_z=np.vstack(query_parts),
-        truth=np.concatenate(truth_labels),
-        way=way,
-        class_names=tuple(names[c] for c in chosen),
-    )
+        blocks.append((rows[perm[q_c : q_c + s_c]], rows[perm[:q_c]]))
+    return _task(blocks, tuple(names[c] for c in chosen))
 
 
 def sample_fixed(ds: EmbeddingDataset, cfg: FixedSamplerConfig, index: int) -> Task:
@@ -155,28 +158,16 @@ def sample_fixed(ds: EmbeddingDataset, cfg: FixedSamplerConfig, index: int) -> T
     rng = episode_rng(cfg.seed, index)
     chosen = rng.choice(len(names), size=cfg.way, replace=False)
 
-    support_parts, query_parts = [], []
-    support_labels, truth_labels = [], []
-    for local, c in enumerate(chosen):
+    blocks = []
+    for c in chosen:
         rows = ds.classes[names[c]]
         if rows.shape[0] < need:
             raise InsufficientExamples(
                 f"class {names[c]!r} has {rows.shape[0]} examples, needs {need}"
             )
         perm = rng.permutation(rows.shape[0])
-        support_parts.append(rows[perm[: cfg.shot]])
-        query_parts.append(rows[perm[cfg.shot : need]])
-        support_labels.append(np.full(cfg.shot, local))
-        truth_labels.append(np.full(cfg.query_per_class, local))
-
-    return Task(
-        support_z=np.vstack(support_parts),
-        support_y=np.concatenate(support_labels),
-        query_z=np.vstack(query_parts),
-        truth=np.concatenate(truth_labels),
-        way=cfg.way,
-        class_names=tuple(names[c] for c in chosen),
-    )
+        blocks.append((rows[perm[: cfg.shot]], rows[perm[cfg.shot : need]]))
+    return _task(blocks, tuple(names[c] for c in chosen))
 
 
 SamplerConfig = VariableSamplerConfig | FixedSamplerConfig

@@ -121,7 +121,7 @@ def _checks():
     ]
 
 
-def run_selftest(out=print) -> bool:
+def run_selftest() -> bool:
     """Run every check; print one PASS/FAIL line each; True iff all passed."""
     all_ok = True
     for name, check in _checks():
@@ -132,5 +132,5 @@ def run_selftest(out=print) -> bool:
             ok = False
             detail = f" ({type(exc).__name__}: {exc})"
         all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'}  {name}{detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{detail}")
     return all_ok

@@ -105,6 +105,14 @@ class TestSample:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episodes_below_one_is_config_error(self, dataset_path, tmp_path, episodes):
+        out = tmp_path / "episodes.json"
+        rc = main(["sample", "--dataset", str(dataset_path), "--episodes", episodes,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestEval:
     def test_report_roundtrip_and_exit_code(self, dataset_path, tmp_path):

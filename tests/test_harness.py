@@ -47,8 +47,8 @@ REFINE = RefineConfig(min_steps=2, max_steps=4)
 class TestAggregation:
     def test_hand_computed_ci(self):
         outcomes = [
-            EpisodeOutcome(i, acc, 1, False, ())
-            for i, acc in enumerate([1.0, 0.0, 1.0, 1.0])
+            EpisodeOutcome(acc, 1, False, ())
+            for acc in [1.0, 0.0, 1.0, 1.0]
         ]
         report = _aggregate(outcomes, "m", {})
         assert report.mean_accuracy == pytest.approx(0.75)
@@ -56,13 +56,13 @@ class TestAggregation:
         assert report.ci95 == pytest.approx(0.49)
 
     def test_single_episode_has_zero_ci(self):
-        report = _aggregate([EpisodeOutcome(0, 0.5, 1, True, ())], "m", {})
+        report = _aggregate([EpisodeOutcome(0.5, 1, True, ())], "m", {})
         assert report.ci95 == 0.0
 
     def test_recall_bins_and_histogram(self):
         outcomes = [
-            EpisodeOutcome(0, 1.0, 2, True, ((1, 1.0), (3, 0.5))),
-            EpisodeOutcome(1, 0.5, 4, False, ((1, 0.0), (12, 1.0))),
+            EpisodeOutcome(1.0, 2, True, ((1, 1.0), (3, 0.5))),
+            EpisodeOutcome(0.5, 4, False, ((1, 0.0), (12, 1.0))),
         ]
         report = _aggregate(outcomes, "m", {})
         assert report.recall_bins["1"] == (0.5, 2)
@@ -140,6 +140,15 @@ class TestEvaluate:
             evaluate(small_ds, FIXED, REFINE, n_episodes=0)
 
 
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """One entry per call of the harness's ``refine``."""
+    calls = []
+    real = harness.refine
+    monkeypatch.setattr(harness, "refine", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestAblation:
     def test_single_cell_equals_direct_evaluate(self, small_ds):
         spec = AblationSpec(
@@ -186,6 +195,24 @@ class TestAblation:
         grid = run_ablation(small_ds, FIXED, spec)
         assert grid.cells[0].report.episodes == 15
 
+    @pytest.mark.parametrize("axes", [{"min_steps": (-1, 2)}, {"max_steps": (0, 4)}])
+    def test_invalid_step_axis_fails_before_any_episode(self, small_ds, refine_calls, axes):
+        spec = AblationSpec(**axes, query_per_class=(5,), episodes=20, repeats=2)
+        with pytest.raises(ValueError):
+            run_ablation(small_ds, FIXED, spec)
+        assert refine_calls == []
+
+    def test_cli_rejects_invalid_step_axis_as_config_error(
+        self, small_ds, refine_calls, tmp_path, capsys
+    ):
+        path = tmp_path / "ds.emb"
+        write_dataset(small_ds, path, "packed-binary")
+        rc = cli.main(["ablate", "--dataset", str(path), "--sampler", "fixed", "--way", "3",
+                       "--min-steps=-1,2", "--episodes", "2", "--repeats", "1"])
+        assert rc == 2
+        assert "min_steps must be >= 0" in capsys.readouterr().err
+        assert refine_calls == []
+
 
 def direct_grid(ds, sampler_cfg, spec):
     """Every cell of ``spec`` from one ``refine`` run per (cell, repeat,
@@ -210,7 +237,7 @@ def direct_grid(ds, sampler_cfg, spec):
             )
             accuracy = float(np.mean(labels == task.truth))
             outcomes.append(
-                EpisodeOutcome(i, accuracy, trace.iterations_run, trace.converged_early, recalls)
+                EpisodeOutcome(accuracy, trace.iterations_run, trace.converged_early, recalls)
             )
         reports.append(_aggregate(outcomes, "", {}))
     return reports

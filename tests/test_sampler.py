@@ -38,6 +38,15 @@ def tagged_dataset(n_classes=8, per_class=30, d=3):
     return EmbeddingDataset(classes=classes)
 
 
+def assert_rows_carry_their_class(task):
+    """Rows labelled k carry the tag of ``class_names[k]``; labels run class-major."""
+    tags = np.array([int(name[1:]) for name in task.class_names])
+    np.testing.assert_array_equal(task.support_z[:, 1], tags[task.support_y])
+    np.testing.assert_array_equal(task.query_z[:, 1], tags[task.truth])
+    for labels in (task.support_y, task.truth):
+        np.testing.assert_array_equal(labels, np.sort(labels))
+
+
 class TestFixedSampler:
     def test_five_way_one_shot_sizes(self, big_ds):
         cfg = FixedSamplerConfig(way=5, shot=1, query_per_class=10, seed=0)
@@ -86,6 +95,7 @@ class TestFixedSampler:
             support = {tuple(z) for z in task.support_z}
             query = {tuple(z) for z in task.query_z}
             assert not support & query
+            assert_rows_carry_their_class(task)
 
 
 class TestVariableSampler:
@@ -183,6 +193,7 @@ class TestVariableSampler:
             support = {tuple(z) for z in task.support_z}
             query = {tuple(z) for z in task.query_z}
             assert not support & query
+            assert_rows_carry_their_class(task)
 
     def test_config_validation(self):
         with pytest.raises(InvalidSpec):
