@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import re
 import sys
 
 from . import data as ds_io
-from .classification import GMM, MAHALANOBIS_SOFTMAX, AssignmentRule
+from .classification import MAHALANOBIS_SOFTMAX, RULE_KINDS, AssignmentRule
 from .errors import InvalidSpec, MahashotError
-from .harness import AblationSpec, evaluate, render_report, run_ablation
+from .harness import REPORT_FORMATS, AblationSpec, evaluate, render_report, run_ablation
 from .numerics import _single_blas_thread
 from .refinement import RefineConfig
 from .sampler import FixedSamplerConfig, VariableSamplerConfig, sample_task
 from .selftest import run_selftest
+
+_SAMPLERS = {"variable": VariableSamplerConfig, "fixed": FixedSamplerConfig}
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -35,7 +39,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--format", choices=list(REPORT_FORMATS), default="json")
 
 
 def _add_dataset(p: argparse.ArgumentParser):
@@ -48,7 +52,7 @@ def _add_dataset(p: argparse.ArgumentParser):
 
 
 def _add_sampler(p: argparse.ArgumentParser, *, query_axis=False):
-    p.add_argument("--sampler", choices=["variable", "fixed"], default="variable")
+    p.add_argument("--sampler", choices=list(_SAMPLERS), default="variable")
     p.add_argument("--way", type=int, default=5, help="fixed sampler: classes per task")
     p.add_argument("--shot", type=int, default=1, help="fixed sampler: support per class")
     if query_axis:
@@ -67,38 +71,16 @@ def _add_sampler(p: argparse.ArgumentParser, *, query_axis=False):
 
 def _add_refine(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--rule", choices=[MAHALANOBIS_SOFTMAX, GMM], default=MAHALANOBIS_SOFTMAX)
+    p.add_argument("--rule", choices=list(RULE_KINDS), default=MAHALANOBIS_SOFTMAX)
     p.add_argument("--min-steps", type=int, default=2)
     p.add_argument("--max-steps", type=int, default=4)
 
 
-def _sampler_config(args, query_per_class=None):
-    qpc = args.query_per_class if query_per_class is None else query_per_class
-    if args.sampler == "fixed":
-        return FixedSamplerConfig(
-            way=args.way,
-            shot=args.shot,
-            query_per_class=qpc,
-            seed=args.seed,
-        )
-    return VariableSamplerConfig(
-        way_min=args.way_min,
-        way_max=args.way_max,
-        shot_min=args.shot_min,
-        shot_max=args.shot_max,
-        query_per_class=qpc,
-        support_cap=args.support_cap,
-        seed=args.seed,
-    )
-
-
-def _refine_config(args) -> RefineConfig:
-    return RefineConfig(
-        min_steps=args.min_steps,
-        max_steps=args.max_steps,
-        rule=AssignmentRule(kind=args.rule),
-        beta=args.beta,
-    )
+def _from_args(cls, args, **given):
+    """A ``cls`` whose fields not in ``given`` come from the parsed flags of
+    the same names."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**flags, **given)
 
 
 def _write_out(text: str, out: str | None):
@@ -110,16 +92,7 @@ def _write_out(text: str, out: str | None):
 
 
 def _cmd_gen_synthetic(args) -> int:
-    spec = ds_io.SyntheticSpec(
-        n_classes=args.classes,
-        dim=args.dim,
-        mean_scale=args.mean_scale,
-        cov_scale=args.cov_scale,
-        perturbation=args.perturbation,
-        per_class=args.per_class,
-        seed=args.seed,
-    )
-    dataset = ds_io.generate_synthetic(spec)
+    dataset = ds_io.generate_synthetic(_from_args(ds_io.SyntheticSpec, args))
     ds_io.write_dataset(dataset, args.out, args.format)
     print(
         f"wrote {dataset.n_classes} classes x {args.per_class} embeddings "
@@ -170,7 +143,7 @@ def _cmd_sample(args) -> int:
     if args.episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {args.episodes}")
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
-    cfg = _sampler_config(args)
+    cfg = _from_args(_SAMPLERS[args.sampler], args)
     if args.format == "json":
         text = _dump_episodes_json(dataset, cfg, args.episodes)
     else:
@@ -183,8 +156,8 @@ def _cmd_eval(args) -> int:
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     report = evaluate(
         dataset,
-        _sampler_config(args),
-        _refine_config(args),
+        _from_args(_SAMPLERS[args.sampler], args),
+        _from_args(RefineConfig, args, rule=AssignmentRule(args.rule)),
         args.episodes,
         parallelism=args.parallelism,
     )
@@ -199,17 +172,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
-    spec = AblationSpec(
-        min_steps=tuple(args.min_steps),
-        max_steps=tuple(args.max_steps),
-        rules=tuple(args.rule.split(",")),
-        query_per_class=tuple(args.query_per_class),
-        episodes=args.episodes,
-        repeats=args.repeats,
-        seed=args.seed,
-        beta=args.beta,
-    )
-    base_sampler = _sampler_config(args, query_per_class=args.query_per_class[0])
+    spec = _from_args(AblationSpec, args, rules=tuple(args.rule.split(",")))
+    qpc = args.query_per_class[0]
+    base_sampler = _from_args(_SAMPLERS[args.sampler], args, query_per_class=qpc)
     grid = run_ablation(dataset, base_sampler, spec, parallelism=args.parallelism)
     _write_out(render_report(grid, args.format), args.out)
     if args.out is not None:
@@ -229,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic embedding dataset")
-    p.add_argument("--classes", type=int, default=20)
+    p.add_argument("--classes", dest="n_classes", metavar="CLASSES", type=int, default=20)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--mean-scale", type=float, default=1.0)
     p.add_argument("--cov-scale", type=float, default=1.0)
@@ -259,6 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation grid and emit the report")
+    # argparse on Python 3.10 and 3.11 reads an argument that starts with
+    # "-" as an option unless it is a plain number, so "--min-steps -1,2"
+    # would stop as a usage error. No flag here starts with "-<digit>", so
+    # such arguments are values, checked by the config they build.
+    p._negative_number_matcher = re.compile(r"-\d")
     _add_common(p)
     _add_dataset(p)
     _add_sampler(p, query_axis=True)

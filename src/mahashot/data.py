@@ -8,7 +8,7 @@ carried out-of-band so the classifier path can never see them.
 
 File formats
 ------------
-CSV        one row per embedding: ``class_name,f_1,...,f_d``
+CSV        UTF-8, one row per embedding: ``class_name,f_1,...,f_d``
            (floats written with 17 significant digits).
 packed-binary
            magic ``EMB1``, little-endian u32 dimension, u32 class count,
@@ -19,6 +19,7 @@ packed-binary
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 
@@ -222,35 +223,39 @@ def write_dataset(dataset: EmbeddingDataset, path, format: str) -> None:
 def _load_csv(path) -> EmbeddingDataset:
     classes: dict[str, list[np.ndarray]] = {}
     dim = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue  # blank line
-            name = row[0]
-            if not name:
-                raise ParseError("empty class name", line=lineno)
-            if len(row) < 2:
-                raise ParseError("row has no feature columns", line=lineno)
-            if dim is None:
-                dim = len(row) - 1
-            elif len(row) - 1 != dim:
-                raise DimensionMismatch(
-                    f"line {lineno}: row has {len(row) - 1} features, expected {dim}"
-                )
-            try:
-                vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"unparseable feature value ({exc})", line=lineno) from None
-            if not np.all(np.isfinite(vec)):
-                raise ParseError("non-finite feature value", line=lineno)
-            classes.setdefault(name, []).append(vec)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            # One read decodes the whole file, so exc.start is a file offset.
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"file is not valid UTF-8 ({exc.reason})", line=line) from None
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row:
+            continue  # blank line
+        name = row[0]
+        if len(row) < 2:
+            raise ParseError("row has no feature columns", line=lineno)
+        if dim is None:
+            dim = len(row) - 1
+        elif len(row) - 1 != dim:
+            raise DimensionMismatch(
+                f"line {lineno}: row has {len(row) - 1} features, expected {dim}"
+            )
+        try:
+            vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"unparseable feature value ({exc})", line=lineno) from None
+        if not np.all(np.isfinite(vec)):
+            raise ParseError("non-finite feature value", line=lineno)
+        classes.setdefault(name, []).append(vec)
     if not classes:
         raise ParseError("file contains no embedding rows", line=0)
     return EmbeddingDataset(classes={k: np.vstack(v) for k, v in classes.items()})
 
 
 def _write_csv(dataset: EmbeddingDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for name, rows in dataset.classes.items():
             for row in rows:

@@ -28,6 +28,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .classification import AssignmentRule
 from .data import EmbeddingDataset
 from .errors import MahashotError
 from .numerics import _pin_single_blas_thread, _single_blas_thread
-from .refinement import RefineConfig, refine
+from .refinement import RefineConfig, _stops, refine
 from .sampler import SamplerConfig, sample_task
 
 REPORT_FORMATS = ("json", "csv")
@@ -159,12 +160,10 @@ def _trajectory(
 
 def _stop(steps: list[EpisodeOutcome], cfg: RefineConfig) -> EpisodeOutcome:
     """The outcome of ``refine`` under ``cfg``, read off the steps of a run
-    that went at least as far: like ``refine``, stop at the first repeated
-    labels at or after ``min_steps``, else at ``max_steps``; with no query
-    rows, at once."""
+    that went at least as far, by ``refine``'s own stop rule."""
     reached = steps[: cfg.max_steps]
     for o in reached:
-        if o.converged_early and (o.iterations_run >= cfg.min_steps or o.iterations_run == 1):
+        if _stops(o.iterations_run, o.converged_early, cfg.min_steps):
             return o
     return dataclasses.replace(reached[-1], converged_early=False)
 
@@ -210,35 +209,26 @@ def _trajectories(
         return [steps for part in pool.map(_episode_chunk, chunks) for steps in part]
 
 
-def _bin_label(shot: int) -> str:
-    return str(shot) if shot <= SHOT_BIN_MAX else f">{SHOT_BIN_MAX}"
-
-
 def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> EvalReport:
     acc = np.array([o.accuracy for o in outcomes])
     mean = float(acc.mean())
     ci95 = 0.0 if acc.size < 2 else float(1.96 * acc.std(ddof=1) / math.sqrt(acc.size))
 
-    bin_sum: dict[str, float] = {}
-    bin_count: dict[str, int] = {}
+    # Bin b holds shot b, and the last bin every larger shot. Recalls are
+    # added one at a time in episode order: sum() compensates on Python
+    # >= 3.12 and would change the report's bytes.
+    totals = [0.0] * (SHOT_BIN_MAX + 2)
+    counts = [0] * (SHOT_BIN_MAX + 2)
     for o in outcomes:
         for shot, recall in o.shot_recalls:
-            label = _bin_label(shot)
-            bin_sum[label] = bin_sum.get(label, 0.0) + recall
-            bin_count[label] = bin_count.get(label, 0) + 1
-
-    def bin_key(label: str):
-        return (1, 0) if label.startswith(">") else (0, int(label))
-
+            b = min(shot, SHOT_BIN_MAX + 1)
+            totals[b] += recall
+            counts[b] += 1
+    labels = [str(b) for b in range(SHOT_BIN_MAX + 1)] + [f">{SHOT_BIN_MAX}"]
     recall_bins = {
-        label: (bin_sum[label] / bin_count[label], bin_count[label])
-        for label in sorted(bin_sum, key=bin_key)
+        labels[b]: (totals[b] / counts[b], counts[b]) for b in range(len(counts)) if counts[b]
     }
-
-    histogram: dict[int, int] = {}
-    for o in outcomes:
-        histogram[o.iterations_run] = histogram.get(o.iterations_run, 0) + 1
-    histogram = {k: histogram[k] for k in sorted(histogram)}
+    histogram = dict(sorted(Counter(o.iterations_run for o in outcomes).items()))
 
     return EvalReport(
         episodes=len(outcomes),
@@ -425,15 +415,8 @@ def _cell_row(cell: GridCell) -> list[str]:
 
 
 def _report_as_single_cell(report: EvalReport) -> GridCell:
-    rc = report.config.get("refine", {})
-    sc = report.config.get("sampler", {})
-    return GridCell(
-        min_steps=rc.get("min_steps", -1),
-        max_steps=rc.get("max_steps", -1),
-        rule=rc.get("rule", ""),
-        query_per_class=sc.get("query_per_class", -1),
-        report=report,
-    )
+    rc, sc = report.config["refine"], report.config["sampler"]
+    return GridCell(rc["min_steps"], rc["max_steps"], rc["rule"], sc["query_per_class"], report)
 
 
 def render_report(obj: EvalReport | AblationGrid, format: str) -> str:

@@ -69,6 +69,13 @@ class RefineTrace:
     final_params: list[ClassParams]
 
 
+def _stops(t: int, repeated: bool, min_steps: int) -> bool:
+    """The stop rule: iteration ``t`` ends the run iff its labels repeat
+    those of t-1, or the task has no query rows (``repeated``), and either
+    t = 1 or t >= ``min_steps``. Runs that never stop end at ``max_steps``."""
+    return repeated and (t == 1 or t >= min_steps)
+
+
 def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
     """Run the refinement loop on one task and return its full trace."""
     history: list[np.ndarray] = []
@@ -82,9 +89,8 @@ def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
         history.append(argmax_labels(probs))
         # With no query rows, weighted estimation over the one-hot support
         # rows would reproduce the first estimate verbatim, forever.
-        converged = task.n_query == 0 or (
-            t > 1 and t >= cfg.min_steps and np.array_equal(history[-1], history[-2])
-        )
+        repeated = task.n_query == 0 or (t > 1 and np.array_equal(history[-1], history[-2]))
+        converged = _stops(t, repeated, cfg.min_steps)
         if converged:
             break
     return RefineTrace(t, history, converged, resp, params)

@@ -7,6 +7,8 @@ single-iteration reductions, and sampler determinism.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .classification import AssignmentRule, bregman_divergence, classify_many
@@ -18,8 +20,11 @@ from .sampler import FixedSamplerConfig, sample_fixed
 
 
 def _random_spd(rng, d):
+    """A random SPD matrix and its factor; checks call it, so a failing
+    factorization fails the check rather than the selftest."""
     a = rng.standard_normal((d, d))
-    return a @ a.T + 0.5 * np.eye(d)
+    q = a @ a.T + 0.5 * np.eye(d)
+    return q, spd_factorize(q)
 
 
 def _random_task(rng, way=3, shot=4, queries=6, d=5) -> Task:
@@ -39,30 +44,23 @@ def _checks():
         return np.allclose(softmax_rows(x), softmax_rows(x + 123.456), atol=1e-12)
 
     def factor_round_trip():
-        q = _random_spd(rng, 6)
-        f = spd_factorize(q)
+        q, f = _random_spd(rng, 6)
         return f.jitter == 0.0 and np.allclose(f.lower @ f.lower.T, q, rtol=1e-8)
 
     def mahalanobis_sign():
-        q = _random_spd(rng, 4)
-        f = spd_factorize(q)
+        _, f = _random_spd(rng, 4)
         a, b = rng.standard_normal(4), rng.standard_normal(4)
         return mahalanobis_sq(f, a, b) > 0 and mahalanobis_sq(f, a, a) == 0.0
 
     def bregman_identity():
-        q = _random_spd(rng, 5)
-        f = spd_factorize(q)
+        _, f = _random_spd(rng, 5)
         z, zp = rng.standard_normal(5), rng.standard_normal(5)
         return abs(bregman_divergence(f, z, zp) - mahalanobis_sq(f, z, zp)) < 1e-9
 
     def empty_query_reduction():
         task = _random_task(rng)
-        bare = Task(
-            support_z=task.support_z,
-            support_y=task.support_y,
-            query_z=np.zeros((0, task.dim)),
-            truth=np.zeros(0, dtype=int),
-            way=task.way,
+        bare = dataclasses.replace(
+            task, query_z=np.zeros((0, task.dim)), truth=np.zeros(0, dtype=int)
         )
         resp = Responsibilities.build(bare, np.zeros((0, task.way)))
         pw, sw = estimate_weighted(bare, resp)
@@ -84,8 +82,7 @@ def _checks():
         )
 
     def gmm_argmax_reduction():
-        q = _random_spd(rng, 4)
-        f = spd_factorize(q)
+        q, f = _random_spd(rng, 4)
         params, _ = estimate_unweighted(_random_task(rng, d=4))
         shared = [
             type(p)(mu=p.mu, q=q, q_factor=f, count=p.count, sigma_k=p.sigma_k)

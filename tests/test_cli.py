@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 import mahashot
-from mahashot import EmbeddingDataset, cli, errors, load_dataset, write_dataset
+from mahashot import (
+    EmbeddingDataset,
+    FixedSamplerConfig,
+    SyntheticSpec,
+    VariableSamplerConfig,
+    cli,
+    errors,
+    generate_synthetic,
+    load_dataset,
+    sample_task,
+    selftest,
+    write_dataset,
+)
 from mahashot.cli import main
 from mahashot.harness import EpisodeFailure
 
@@ -69,6 +81,23 @@ class TestGenSynthetic:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("format", ["csv", "packed-binary"])
+    def test_every_flag_reaches_the_spec(self, tmp_path, format):
+        out = tmp_path / "cli.out"
+        rc = main(
+            ["gen-synthetic", "--classes", "7", "--dim", "5", "--mean-scale", "1.5",
+             "--cov-scale", "0.7", "--perturbation", "0.3", "--per-class", "9",
+             "--seed", "3", "--format", format, "--out", str(out)]
+        )
+        assert rc == 0
+        spec = SyntheticSpec(
+            n_classes=7, dim=5, mean_scale=1.5, cov_scale=0.7, perturbation=0.3,
+            per_class=9, seed=3,
+        )
+        lib = tmp_path / "lib.out"
+        write_dataset(generate_synthetic(spec), lib, format)
+        assert out.read_bytes() == lib.read_bytes()
+
 
 class TestSample:
     def test_json_dump(self, dataset_path, tmp_path):
@@ -104,6 +133,35 @@ class TestSample:
             ["sample", "--dataset", str(tmp_path / "nope.emb"), "--out", str(tmp_path / "o")]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "flags, cfg",
+        [
+            (["--sampler", "fixed", "--way", "4", "--shot", "3", "--query-per-class", "2",
+              "--seed", "8"],
+             FixedSamplerConfig(way=4, shot=3, query_per_class=2, seed=8)),
+            (["--sampler", "variable", "--way-min", "3", "--way-max", "6", "--shot-min", "2",
+              "--shot-max", "5", "--query-per-class", "3", "--support-cap", "9", "--seed", "4"],
+             VariableSamplerConfig(way_min=3, way_max=6, shot_min=2, shot_max=5,
+                                   query_per_class=3, support_cap=9, seed=4)),
+        ],
+        ids=["fixed", "variable"],
+    )
+    def test_every_sampler_flag_reaches_the_config(self, dataset_path, tmp_path, flags, cfg):
+        out = tmp_path / "episodes.json"
+        rc = main(["sample", "--dataset", str(dataset_path), "--episodes", "3", *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        ds = load_dataset(dataset_path, "packed-binary")
+        episodes = json.loads(out.read_text())
+        assert len(episodes) == 3
+        for i, ep in enumerate(episodes):
+            task = sample_task(ds, cfg, i)
+            assert ep["class_names"] == list(task.class_names)
+            assert [s["label"] for s in ep["support"]] == task.support_y.tolist()
+            assert [s["z"] for s in ep["support"]] == task.support_z.tolist()
+            assert [q["truth"] for q in ep["query"]] == task.truth.tolist()
+            assert [q["z"] for q in ep["query"]] == task.query_z.tolist()
 
     @pytest.mark.parametrize("episodes", ["0", "-3"])
     def test_episodes_below_one_is_config_error(self, dataset_path, tmp_path, episodes):
@@ -199,6 +257,26 @@ class TestSelftest:
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout
 
+    def test_crashing_factorization_fails_only_its_checks(self, monkeypatch, capsys):
+        def crash(q):
+            raise RuntimeError("no factor")
+
+        monkeypatch.setattr(selftest, "spd_factorize", crash)
+        assert selftest.run_selftest() is False
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert failed == [
+            f"FAIL  {name} (RuntimeError: no factor)"
+            for name in [
+                "SPD factor round trip",
+                "mahalanobis nonnegative / zero at identity",
+                "bregman divergence equals squared mahalanobis",
+                "gmm argmax reduction under shared covariance",
+            ]
+        ]
+        assert all(line.startswith("PASS") for line in lines if line not in failed)
+
 
 # One instance of every concrete package error, plus the builtins main()
 # maps, with the exit code each must produce.
@@ -257,6 +335,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: parallelism must be >= 1, got {parallelism}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_undecodable_csv_dataset_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,1.0,2.0\nb,3.0,4.0\na,\xff,2.0\nb,1.0,1.0\n")
+        rc = main(["eval", "--dataset", str(path), "--dataset-format", "csv",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: file is not valid UTF-8") and "(line 3)" in err
 
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):

@@ -58,6 +58,21 @@ class TestCsvLoading:
             load_dataset(p, "csv")
         assert info.value.line == 2
 
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,1.0,2.0\na,3.0,4.0\na,\xff5.0,6.0\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(p, "csv")
+        assert info.value.line == 3
+
+    def test_undecodable_byte_far_into_the_file_reports_its_line(self, tmp_path):
+        # Far past the few KiB a text stream decodes per chunk.
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,1.0,2.0\n" * 4000 + b"a,\xff,2.0\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(p, "csv")
+        assert info.value.line == 4001
+
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text("a,1.0,nan\n")
@@ -113,6 +128,18 @@ class TestCsvRoundTrip:
         back = load_dataset(p, "csv")
         for name in ds.class_names:
             np.testing.assert_allclose(back.classes[name], ds.classes[name], atol=1e-12)
+
+
+@pytest.mark.parametrize("format", ["csv", "packed-binary"])
+def test_any_class_name_round_trips(tmp_path, format):
+    names = ["", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "naïve – 北京"]
+    ds = EmbeddingDataset({name: np.full((2, 3), float(i)) for i, name in enumerate(names)})
+    p = tmp_path / "ds"
+    write_dataset(ds, p, format)
+    back = load_dataset(p, format)
+    assert back.class_names == ds.class_names
+    for name in names:
+        np.testing.assert_array_equal(back.classes[name], ds.classes[name])
 
 
 class TestSynthetic:

@@ -59,6 +59,13 @@ class TestAggregation:
         report = _aggregate([EpisodeOutcome(0.5, 1, True, ())], "m", {})
         assert report.ci95 == 0.0
 
+    def test_recalls_add_one_at_a_time_in_episode_order(self):
+        # Added left to right, 1.0 absorbs each 1e-16; a compensated sum,
+        # such as sum() on Python >= 3.12, would not.
+        outcomes = [EpisodeOutcome(1.0, 1, False, ((2, r),)) for r in (1.0, 1e-16, 1e-16)]
+        report = _aggregate(outcomes, "m", {})
+        assert report.recall_bins == {"2": ((1.0 + 1e-16 + 1e-16) / 3, 3)}
+
     def test_recall_bins_and_histogram(self):
         outcomes = [
             EpisodeOutcome(1.0, 2, True, ((1, 1.0), (3, 0.5))),
@@ -207,10 +214,18 @@ class TestAblation:
     ):
         path = tmp_path / "ds.emb"
         write_dataset(small_ds, path, "packed-binary")
-        rc = cli.main(["ablate", "--dataset", str(path), "--sampler", "fixed", "--way", "3",
-                       "--min-steps=-1,2", "--episodes", "2", "--repeats", "1"])
-        assert rc == 2
-        assert "min_steps must be >= 0" in capsys.readouterr().err
+        # A list that starts with a minus sign is a value in either spelling.
+        for flags, message in [
+            (["--min-steps=-1,2"], "min_steps must be >= 0"),
+            (["--min-steps", "-1,2"], "min_steps must be >= 0"),
+            # A cell's min_steps clamps down to its max_steps of -1.
+            (["--max-steps", "-1,4"], "min_steps must be >= 0"),
+            (["--query-per-class", "-1,5"], "query_per_class must be >= 1"),
+        ]:
+            rc = cli.main(["ablate", "--dataset", str(path), "--sampler", "fixed", "--way", "3",
+                           *flags, "--episodes", "2", "--repeats", "1"])
+            assert rc == 2
+            assert message in capsys.readouterr().err
         assert refine_calls == []
 
 
