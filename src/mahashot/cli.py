@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
+import os
 import re
 import sys
 
@@ -256,8 +258,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# <malloc.h> parameter numbers of glibc's mallopt.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for reuse, not return it.
+
+    Refinement frees one generation of class parameters (about 20 MB at
+    50-way d = 128) just before it builds the next. Under glibc's sliding
+    default thresholds that memory goes back to the OS, and every page of
+    the next generation faults in afresh. Fixing the thresholds at the
+    limits the sliding rule tops out at keeps it in the heap. Other C
+    libraries are left alone.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         # The CLI owns its process: its small factorizations run fastest
         # on one BLAS thread, and --parallelism is the only parallelism.

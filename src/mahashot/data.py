@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -230,7 +231,9 @@ def _load_csv(path) -> EmbeddingDataset:
         except UnicodeDecodeError as exc:
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise ParseError(f"file is not valid UTF-8 ({exc.reason})", line=line) from None
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        lineno = reader.line_num  # the physical line the record ends on
         if not row:
             continue  # blank line
         name = row[0]
@@ -263,52 +266,58 @@ def _write_csv(dataset: EmbeddingDataset, path) -> None:
 
 
 def _load_binary(path) -> EmbeddingDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ParseError(f"truncated file while reading {what}", offset=pos)
-        chunk = blob[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4, "magic") != _MAGIC:
-        raise ParseError(f"bad magic bytes, expected {_MAGIC!r}", offset=0)
-    dim, n_classes = struct.unpack("<II", take(8, "header"))
-    if dim == 0:
-        raise ParseError("dimension must be positive", offset=4)
     classes: dict[str, np.ndarray] = {}
-    for _ in range(n_classes):
-        (name_len,) = struct.unpack("<I", take(4, "class name length"))
-        name_at = pos
-        try:
-            name = take(name_len, "class name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError("class name is not valid UTF-8", offset=name_at) from None
-        if name in classes:
-            raise ParseError(f"duplicate class name {name!r}", offset=name_at)
-        (n_rows,) = struct.unpack("<I", take(4, "row count"))
-        if n_rows == 0:
-            raise EmptyClass(f"class {name!r} has zero rows")
-        raw = take(n_rows * dim * 8, f"rows of class {name!r}")
-        rows = np.frombuffer(raw, dtype="<f8").reshape(n_rows, dim)
-        classes[name] = rows.astype(np.float64)
-    if pos != len(blob):
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
+
+        def take(n: int, what: str, rows: tuple[int, int] | None = None):
+            """The next ``n`` bytes, or, given ``rows``, a new ``<f8`` array of
+            that shape read in place. Every size comes from the file, so it is
+            checked against the bytes left before anything is allocated."""
+            nonlocal pos
+            if pos + n > size:
+                raise ParseError(f"truncated file while reading {what}", offset=pos)
+            if rows is None:
+                chunk = fh.read(n)
+                got = len(chunk)
+            else:
+                chunk = np.empty(rows, dtype="<f8")
+                got = fh.readinto(chunk)
+            if got != n:  # the file shrank while being read
+                raise ParseError(f"truncated file while reading {what}", offset=pos + got)
+            pos += n
+            return chunk
+
+        if take(4, "magic") != _MAGIC:
+            raise ParseError(f"bad magic bytes, expected {_MAGIC!r}", offset=0)
+        dim, n_classes = struct.unpack("<II", take(8, "header"))
+        if dim == 0:
+            raise ParseError("dimension must be positive", offset=4)
+        for _ in range(n_classes):
+            (name_len,) = struct.unpack("<I", take(4, "class name length"))
+            name_at = pos
+            try:
+                name = take(name_len, "class name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("class name is not valid UTF-8", offset=name_at) from None
+            if name in classes:
+                raise ParseError(f"duplicate class name {name!r}", offset=name_at)
+            (n_rows,) = struct.unpack("<I", take(4, "row count"))
+            if n_rows == 0:
+                raise EmptyClass(f"class {name!r} has zero rows")
+            classes[name] = take(n_rows * dim * 8, f"rows of class {name!r}", (n_rows, dim))
+    if pos != size:
         raise ParseError("trailing bytes after last class", offset=pos)
     return EmbeddingDataset(classes=classes)
 
 
 def _write_binary(dataset: EmbeddingDataset, path) -> None:
-    parts = [_MAGIC, struct.pack("<II", dataset.dim, dataset.n_classes)]
-    for name, rows in dataset.classes.items():
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", rows.shape[0]))
-        parts.append(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+    # Encode every name before the file is opened, so a bad name leaves no
+    # partial file; then write one class at a time, rows from their buffer.
+    names = [name.encode("utf-8") for name in dataset.classes]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_MAGIC + struct.pack("<II", dataset.dim, dataset.n_classes))
+        for encoded, rows in zip(names, dataset.classes.values()):
+            fh.write(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", rows.shape[0]))
+            fh.write(np.ascontiguousarray(rows, dtype="<f8"))

@@ -83,6 +83,9 @@ def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
         if t == 1:
             params, _ = estimate_unweighted(task, cfg.beta)
         else:
+            # Hold one generation: at d = 128 a 50-way set of class
+            # parameters is about 20 MB, so free the last before the next.
+            del params
             params, _ = estimate_weighted(task, resp, cfg.beta)
         probs = classify_many(cfg.rule, params, task.query_z)
         resp = Responsibilities.build(task, probs)

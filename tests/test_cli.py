@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -358,3 +359,21 @@ class TestExitCodes:
         )
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: episode 0 failed:")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")
+def test_freed_class_parameters_are_reused_without_faults():
+    # One generation of 50-way d = 128 class parameters is about 150 d x d
+    # blocks; refinement frees one and builds the next of the same shape.
+    # Under glibc's default thresholds each rebuild faults in ~4,800 pages.
+    import resource
+
+    def generation():
+        return [np.ones((128, 128)) for _ in range(150)]
+
+    cli._keep_freed_memory()
+    generation()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        generation()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

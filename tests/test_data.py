@@ -1,11 +1,17 @@
+import struct
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import mahashot.data as data
 from mahashot import (
     DimensionMismatch,
     EmbeddingDataset,
     EmptyClass,
     InvalidSpec,
+    MahashotError,
     NonFiniteInput,
     ParseError,
     SyntheticSpec,
@@ -57,6 +63,14 @@ class TestCsvLoading:
         with pytest.raises(ParseError) as info:
             load_dataset(p, "csv")
         assert info.value.line == 2
+
+    def test_row_errors_report_the_physical_line(self, tmp_path):
+        # The quoted class name spans lines 1-2, so "oops" is on line 4.
+        p = tmp_path / "bad.csv"
+        p.write_text('"two\nlines",1.0,2.0\na,1.0,2.0\na,1.0,oops\n')
+        with pytest.raises(ParseError) as info:
+            load_dataset(p, "csv")
+        assert info.value.line == 4
 
     def test_undecodable_byte_reports_its_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -110,14 +124,104 @@ class TestBinaryFormat:
             load_dataset(tmp_path / "cut.emb", "packed-binary")
 
     def test_zero_row_class(self, tmp_path):
-        import struct
-
         blob = b"EMB1" + struct.pack("<II", 2, 1) + struct.pack("<I", 1) + b"a"
         blob += struct.pack("<I", 0)
         p = tmp_path / "empty.emb"
         p.write_bytes(blob)
         with pytest.raises(EmptyClass):
             load_dataset(p, "packed-binary")
+
+
+    def test_huge_row_count_raises_before_allocating(self, tmp_path):
+        # 2**31 rows of d = 4 would be 64 GiB; the file holds 16 bytes of them.
+        blob = b"EMB1" + struct.pack("<II", 4, 1) + struct.pack("<I", 1) + b"a"
+        blob += struct.pack("<I", 2**31) + b"\x00" * 16
+        p = tmp_path / "huge.emb"
+        p.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                load_dataset(p, "packed-binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.offset == len(blob) - 16
+        assert peak < 2**20
+
+    def test_file_shorter_than_its_stat_raises(self, tmp_path, monkeypatch):
+        # A file that shrinks while it is read must not leave unread rows
+        # as uninitialised memory.
+        ds = generate_synthetic(SyntheticSpec(n_classes=2, dim=3, per_class=4, seed=1))
+        p = tmp_path / "ds.emb"
+        write_dataset(ds, p, "packed-binary")
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-8])
+        monkeypatch.setattr(data, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size)))
+        with pytest.raises(ParseError, match="truncated") as info:
+            load_dataset(p, "packed-binary")
+        assert info.value.offset == size - 8
+
+
+class TestBinaryFuzz:
+    """Every truncation and seeded single-byte changes of a small file either
+    load or raise a package error; none escapes as another exception."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        ds = EmbeddingDataset({name: np.arange(12.0).reshape(3, 4) + i for i, name in enumerate("abc")})
+        write_dataset(ds, tmp_path / "ds.emb", "packed-binary")
+        return (tmp_path / "ds.emb").read_bytes()
+
+    @staticmethod
+    def load_or_package_error(path, blob):
+        path.write_bytes(blob)
+        try:
+            load_dataset(path, "packed-binary")
+        except MahashotError:
+            return False
+        return True
+
+    def test_every_truncation(self, tmp_path, blob):
+        p = tmp_path / "cut.emb"
+        loaded = [self.load_or_package_error(p, blob[:n]) for n in range(len(blob))]
+        assert not any(loaded)
+
+    def test_single_byte_changes(self, tmp_path, blob):
+        rng = np.random.default_rng(12)
+        p = tmp_path / "flip.emb"
+        for _ in range(1000):
+            changed = bytearray(blob)
+            at = int(rng.integers(len(blob)))
+            changed[at] ^= int(rng.integers(1, 256))
+            self.load_or_package_error(p, bytes(changed))
+
+
+class TestBinaryMemory:
+    """The packed-binary reader and writer hold no second copy of the file."""
+
+    @pytest.fixture
+    def dataset(self, rng):
+        return EmbeddingDataset({f"c{k:02d}": rng.standard_normal((50, 128)) for k in range(40)})
+
+    def test_load_peak_is_the_file_size(self, tmp_path, dataset):
+        p = tmp_path / "ds.emb"
+        write_dataset(dataset, p, "packed-binary")
+        tracemalloc.start()
+        try:
+            load_dataset(p, "packed-binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.stat().st_size + 2**20
+
+    def test_write_peak_is_one_class_header(self, tmp_path, dataset):
+        tracemalloc.start()
+        try:
+            write_dataset(dataset, tmp_path / "ds.emb", "packed-binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCsvRoundTrip:

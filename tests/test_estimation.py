@@ -435,3 +435,22 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_refine_holds_one_generation(self, rng):
+        # Every iteration after the first replaces the class parameters; the
+        # old set must be gone before the new one is built.
+        task = make_task(rng, way=50, shots=10, queries=500, d=128)
+        resp = random_resp(rng, task)
+        tracemalloc.start()
+        try:
+            kept = estimate_weighted(task, resp)
+            one_generation = tracemalloc.get_traced_memory()[0]
+            del kept
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            trace = refine(task, RefineConfig())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations_run >= 2
+        assert peak < 1.5 * one_generation
