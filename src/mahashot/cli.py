@@ -26,7 +26,7 @@ from . import data as ds_io
 from .classification import MAHALANOBIS_SOFTMAX, RULE_KINDS, AssignmentRule
 from .errors import InvalidSpec, MahashotError
 from .harness import REPORT_FORMATS, AblationSpec, evaluate, render_report, run_ablation
-from .numerics import _single_blas_thread
+from .numerics import _pin_single_blas_thread
 from .refinement import RefineConfig
 from .sampler import FixedSamplerConfig, VariableSamplerConfig, sample_task
 from .selftest import run_selftest
@@ -285,12 +285,12 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The CLI owns its process, so both settings last until it exits: its small
+    # factorizations run fastest on one BLAS thread, and --parallelism is the only parallelism.
     _keep_freed_memory()
+    _pin_single_blas_thread()
     try:
-        # The CLI owns its process: its small factorizations run fastest
-        # on one BLAS thread, and --parallelism is the only parallelism.
-        with _single_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except InvalidSpec as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

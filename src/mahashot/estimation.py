@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import Task
 from .errors import DegenerateClass, DimensionMismatch
-# Unchecked (``_estimate`` symmetrizes q), under the names the kernel looks up.
-from .numerics import SpdFactor, _factorize as spd_factorize, _factorize_stack
+# The jitter fallback looks ``spd_factorize`` up here at call time: perfbench's traced run wraps it.
+from .numerics import SpdFactor, _factorize_stack, spd_factorize
 
 # Soft class counts below this are useless as divisors; estimation raises
 # DegenerateClass. Refinement never meets it: support rows are one-hot, so
@@ -145,8 +145,7 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
     sigma = (centered * row_weight[:, None]).T @ centered / total
     sigma = 0.5 * (sigma + sigma.T)
 
-    eye = np.eye(z.shape[1])
-    ridge = beta * eye
+    ridge = beta * np.eye(z.shape[1])
     # Rows a class gives zero weight would only add exact zeros, so each class
     # gathers its nonzero-weight rows: class k's are rows[start[k]:][:nnz[k]].
     classes, rows = np.nonzero(w.T)
@@ -170,7 +169,7 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         q = 0.5 * (q + q.transpose(0, 2, 1))  # kill rounding asymmetry from the matmuls
         stacked = _factorize_stack(q)
         if stacked is None:  # some class needs jitter, or q is not finite
-            factors = [spd_factorize(qk, eye) for qk in q]
+            factors = [spd_factorize(qk) for qk in q]
         else:
             factors = [SpdFactor(lower=f, logdet=float(g), jitter=0.0) for f, g in zip(*stacked)]
         params += [

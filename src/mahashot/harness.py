@@ -165,7 +165,9 @@ def _stop(steps: list[EpisodeOutcome], cfg: RefineConfig) -> EpisodeOutcome:
     for o in reached:
         if _stops(o.iterations_run, o.converged_early, cfg.min_steps):
             return o
-    return dataclasses.replace(reached[-1], converged_early=False)
+    # Its labels do not repeat: at max_steps >= min_steps a repeat stops, and a
+    # trajectory cut short stopped there under a min_steps no smaller than cfg's.
+    return reached[-1]
 
 
 # Set once per pool worker, so the dataset is not pickled into every job.
@@ -353,8 +355,6 @@ def _float_repr(x: float) -> str:
 def _to_json(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

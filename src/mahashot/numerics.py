@@ -82,13 +82,7 @@ def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
         raise NotSymmetric(
             f"matrix is asymmetric beyond {SYMMETRY_ATOL:g} absolute tolerance"
         )
-    return _factorize(q, np.eye(q.shape[0]), jitter_schedule)
-
-
-def _factorize(q: np.ndarray, eye: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
-    """:func:`spd_factorize` without its checks, for a symmetric ``q`` and ``eye`` = I.
-
-    A NaN or Inf in ``q`` reaches ``diag(lower)`` or fails every try: ``NonFiniteInput``."""
+    eye = np.eye(q.shape[0])
     for eps in jitter_schedule:
         try:
             lower = np.linalg.cholesky(q + eps * eye)
@@ -98,8 +92,6 @@ def _factorize(q: np.ndarray, eye: np.ndarray, jitter_schedule=DEFAULT_JITTER) -
         if not np.isfinite(logdet):
             break
         return SpdFactor(lower=lower, logdet=logdet, jitter=float(eps))
-    if not np.all(np.isfinite(q)):
-        raise NonFiniteInput("matrix contains NaN or Inf")
     raise FactorizationFailed(f"Cholesky failed for all jitter values {tuple(jitter_schedule)}")
 
 
@@ -108,7 +100,7 @@ def _factorize_stack(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     matrices, without jitter; None if any matrix fails or has a non-finite logdet.
 
     numpy factorizes a stack one matrix at a time, so each factor and logdet
-    is bit for bit what :func:`_factorize` returns when no jitter is needed.
+    is bit for bit what :func:`spd_factorize` returns when no jitter is needed.
     """
     try:
         lower = np.linalg.cholesky(q)

@@ -73,6 +73,10 @@ class TestMahalanobisSoftmaxRule:
         params = params_at([[0.0, 0.0]], [np.eye(2)])
         with pytest.raises(DimensionMismatch):
             classify_many(SOFT, params, np.zeros((1, 3)))
+        with pytest.raises(DimensionMismatch, match="points must be 2-d"):
+            classify_many(SOFT, params, np.zeros(2))
+        with pytest.raises(DimensionMismatch, match="at least one class"):
+            classify_many(SOFT, [], np.zeros((1, 2)))
 
 
 class TestGmmRule:
@@ -125,6 +129,8 @@ class TestGmmRule:
             AssignmentRule("gmm", prior=(0.5, 0.6))
         with pytest.raises(ValueError):
             AssignmentRule("nearest")
+        with pytest.raises(ValueError, match="1-d simplex"):
+            AssignmentRule("gmm", prior=[[0.5, 0.5]])
         for prior in ((np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5), (1.5, -np.inf)):
             with pytest.raises(ValueError):
                 AssignmentRule("gmm", prior=prior)

@@ -2,8 +2,10 @@ import json
 import os
 import pathlib
 import platform
+import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +213,28 @@ class TestEval:
         assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--sampler", "fixed", "--way", "3", "--shot", "2", "--episodes", "3"],
+        ["eval", "--episodes", "3", "--way-min", "2", "--way-max", "4", "--shot-max", "3",
+         "--format", "csv"],
+        ["ablate", "--sampler", "fixed", "--way", "3", "--shot", "2", "--min-steps", "0,2",
+         "--max-steps", "1,4", "--query-per-class", "5", "--episodes", "2", "--repeats", "1"],
+        ["ablate", "--sampler", "fixed", "--way", "3", "--shot", "2", "--max-steps", "1,4",
+         "--episodes", "2", "--repeats", "1", "--format", "csv"],
+    ],
+    ids=["eval-json", "eval-csv", "ablate-json", "ablate-csv"],
+)
+def test_stdout_report_is_the_out_file(dataset_path, tmp_path, capsys, argv):
+    argv = [*argv, "--dataset", str(dataset_path)]
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()  # the one-line summary --out prints
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 class TestAblate:
     def test_grid_csv(self, dataset_path, tmp_path):
         out = tmp_path / "grid.csv"
@@ -299,6 +323,10 @@ EXIT_CODES = [
 ]
 
 
+# One packed-binary class: name "a", one row of one float.
+_BINARY_CLASS = struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + struct.pack("<d", 0.5)
+
+
 def _concrete_errors(base):
     for sub in base.__subclasses__():
         yield sub
@@ -346,6 +374,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: file is not valid UTF-8") and "(line 3)" in err
 
+    @pytest.mark.parametrize(
+        "format, blob, message",
+        [
+            ("packed-binary", b"EMB1" + struct.pack("<II", 1, 0) + b"\x00",
+             "trailing bytes after last class"),
+            ("packed-binary", b"EMB1" + struct.pack("<II", 1, 2) + 2 * _BINARY_CLASS,
+             "duplicate class name 'a'"),
+            ("packed-binary", b"EMB1" + struct.pack("<II", 0, 1), "dimension must be positive"),
+            ("csv", b"a,1.0\nb\n", "row has no feature columns (line 2)"),
+            ("csv", b"", "file contains no embedding rows"),
+        ],
+        ids=["trailing-bytes", "duplicate-name", "zero-dim", "no-features", "empty-csv"],
+    )
+    def test_rejected_dataset_file_is_data_error(self, tmp_path, capsys, format, blob, message):
+        path = tmp_path / "bad"
+        path.write_bytes(blob)
+        rc = main(["eval", "--dataset", str(path), "--dataset-format", format,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):
         # Three rows per class cannot give shot 2 plus 10 queries.
@@ -377,3 +428,17 @@ def test_freed_class_parameters_are_reused_without_faults():
     for _ in range(10):
         generation()
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+@pytest.mark.parametrize("libc, calls", [("glibc 2.35", 2), ("musl 1.2.4", 0)])
+def test_malloc_thresholds_are_set_only_on_glibc(monkeypatch, libc, calls):
+    seen = []
+
+    def mallopt(param, value):
+        seen.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.os, "confstr", lambda name: libc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._keep_freed_memory()
+    assert len(seen) == calls

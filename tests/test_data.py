@@ -97,6 +97,24 @@ class TestCsvLoading:
         with pytest.raises(InvalidSpec):
             load_dataset(tmp_path / "x", "parquet")
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("a,1.0,2.0\n\na,3.0,4.0\n\n")
+        np.testing.assert_array_equal(load_dataset(p, "csv").classes["a"], [[1, 2], [3, 4]])
+
+    def test_row_without_features(self, tmp_path):
+        p = tmp_path / "bare.csv"
+        p.write_text("a,1.0,2.0\nb\n")
+        with pytest.raises(ParseError, match="no feature columns") as info:
+            load_dataset(p, "csv")
+        assert info.value.line == 2
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ParseError, match="no embedding rows"):
+            load_dataset(p, "csv")
+
 
 class TestBinaryFormat:
     def test_round_trip_bitwise(self, tmp_path, rng):
@@ -122,6 +140,31 @@ class TestBinaryFormat:
         (tmp_path / "cut.emb").write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ParseError):
             load_dataset(tmp_path / "cut.emb", "packed-binary")
+
+    def test_trailing_bytes(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(n_classes=2, dim=3, per_class=4, seed=1))
+        p = tmp_path / "ds.emb"
+        write_dataset(ds, p, "packed-binary")
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(ParseError, match="trailing bytes") as info:
+            load_dataset(p, "packed-binary")
+        assert info.value.offset == size
+
+    def test_duplicate_class_name(self, tmp_path):
+        one = struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + struct.pack("<d", 0.5)
+        p = tmp_path / "dup.emb"
+        p.write_bytes(b"EMB1" + struct.pack("<II", 1, 2) + one + one)
+        with pytest.raises(ParseError, match="duplicate class name") as info:
+            load_dataset(p, "packed-binary")
+        assert info.value.offset == 12 + len(one) + 4
+
+    def test_zero_dimension(self, tmp_path):
+        p = tmp_path / "flat.emb"
+        p.write_bytes(b"EMB1" + struct.pack("<II", 0, 1) + struct.pack("<I", 1) + b"a")
+        with pytest.raises(ParseError, match="dimension must be positive") as info:
+            load_dataset(p, "packed-binary")
+        assert info.value.offset == 4
 
     def test_zero_row_class(self, tmp_path):
         blob = b"EMB1" + struct.pack("<II", 2, 1) + struct.pack("<I", 1) + b"a"
@@ -354,6 +397,43 @@ class TestTaskInvariants:
         )
         np.testing.assert_array_equal(t.class_counts(), [2, 1, 2])
 
+    @pytest.mark.parametrize(
+        "changes, error, match",
+        [
+            ({"support_z": np.zeros(3)}, DimensionMismatch, "must be 2-d"),
+            ({"query_z": np.zeros((1, 1, 3))}, DimensionMismatch, "must be 2-d"),
+            ({"support_y": np.array([0, 1, 1])}, DimensionMismatch, "support_y must align"),
+            ({"way": 0}, InvalidSpec, "way must be >= 1"),
+            ({"truth": np.array([2])}, InvalidSpec, "truth labels out of range"),
+            ({"truth": np.array([-1])}, InvalidSpec, "truth labels out of range"),
+            ({"class_names": ("a",)}, InvalidSpec, "one entry per class"),
+        ],
+        ids=["support-1d", "query-3d", "support-y", "way", "truth-high", "truth-low", "names"],
+    )
+    def test_boundary_rejections(self, changes, error, match):
+        fields = dict(
+            support_z=np.eye(2, 3), support_y=np.array([0, 1]), query_z=np.zeros((1, 3)),
+            truth=np.array([1]), way=2, class_names=("a", "b"),
+        )
+        Task(**fields)
+        with pytest.raises(error, match=match):
+            Task(**{**fields, **changes})
+
     def test_dataset_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingDataset(classes={"a": np.zeros((2, 3)), "b": np.zeros((2, 4))})
+
+    def test_dataset_rejects_no_classes(self):
+        with pytest.raises(EmptyClass, match="no classes"):
+            EmbeddingDataset(classes={})
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.zeros(3)], ids=["no-rows", "1d"])
+    def test_dataset_rejects_an_empty_class(self, rows):
+        with pytest.raises(EmptyClass, match="'b' has no embeddings"):
+            EmbeddingDataset(classes={"a": np.zeros((2, 3)), "b": rows})
+
+    def test_dataset_rejects_nan(self):
+        rows = np.zeros((2, 3))
+        rows[1, 2] = np.nan
+        with pytest.raises(NonFiniteInput, match="'a' contains NaN"):
+            EmbeddingDataset(classes={"a": rows})

@@ -147,6 +147,16 @@ class TestWeighted:
         bad = Responsibilities(w=np.full((4, 2), 0.5), n_support=4)
         with pytest.raises(DimensionMismatch):
             estimate_weighted(task, bad, beta=1.0)
+        misplit = Responsibilities(w=uniform_resp(task).w, n_support=task.n_support + 1)
+        with pytest.raises(DimensionMismatch, match="split at 5 rows, task has 4 support"):
+            estimate_weighted(task, misplit, beta=1.0)
+
+    def test_negative_beta_rejected(self, rng):
+        task = make_task(rng, way=2, shots=[2, 2], d=3, queries=3)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            estimate_weighted(task, uniform_resp(task), beta=-0.5)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            estimate_unweighted(task, beta=-0.5)
 
 
 class TestShrinkageBlend:
@@ -291,6 +301,26 @@ class TestResponsibilities:
         for w in ([[1.0, 0.0], [np.nan, np.nan]], [[np.nan, 1.0]], [[0.5, 0.5], [np.nan, 0.5]]):
             with pytest.raises(ValueError):  # NaN must fail the checks
                 Responsibilities(w=np.array(w), n_support=1)
+
+    @pytest.mark.parametrize(
+        "w, n_support, match",
+        [
+            (np.ones(3), 0, "2-d matrix"),
+            (np.ones((2, 1, 1)), 0, "2-d matrix"),
+            (np.ones((2, 1)), 3, "n_support out of range"),
+            (np.ones((2, 1)), -1, "n_support out of range"),
+        ],
+        ids=["1d", "3d", "split-high", "split-negative"],
+    )
+    def test_shape_rejected(self, w, n_support, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            Responsibilities(w=w, n_support=n_support)
+
+    def test_build_shape_mismatch(self, rng):
+        task = make_task(rng, way=3, d=3, queries=4)
+        for probs in (np.full((3, 3), 1 / 3), np.full((4, 2), 1 / 2)):
+            with pytest.raises(DimensionMismatch, match="query_probs shape"):
+                Responsibilities.build(task, probs)
 
     def test_rows_without_columns_rejected(self):
         with pytest.raises(ValueError):  # an empty row cannot sum to 1

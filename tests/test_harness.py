@@ -202,6 +202,11 @@ class TestAblation:
         grid = run_ablation(small_ds, FIXED, spec)
         assert grid.cells[0].report.episodes == 15
 
+    @pytest.mark.parametrize("counts", [{"episodes": 0}, {"repeats": 0}])
+    def test_episodes_and_repeats_below_one_rejected(self, counts):
+        with pytest.raises(ValueError, match="episodes and repeats must be >= 1"):
+            AblationSpec(**counts)
+
     @pytest.mark.parametrize("axes", [{"min_steps": (-1, 2)}, {"max_steps": (0, 4)}])
     def test_invalid_step_axis_fails_before_any_episode(self, small_ds, refine_calls, axes):
         spec = AblationSpec(**axes, query_per_class=(5,), episodes=20, repeats=2)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,7 @@ from mahashot import (
     VariableSamplerConfig,
     generate_synthetic,
     sample_fixed,
+    sample_task,
     sample_variable,
 )
 
@@ -204,4 +207,26 @@ class TestVariableSampler:
             VariableSamplerConfig(shot_min=5, shot_max=2)
         with pytest.raises(InvalidSpec):
             FixedSamplerConfig(way=1, shot=1)
+        for cls, fields, match in [
+            (VariableSamplerConfig, {"query_per_class": 0}, "must be positive"),
+            (VariableSamplerConfig, {"support_cap": 0}, "must be positive"),
+            (VariableSamplerConfig, {"seed": -1}, "seed must be nonnegative"),
+            (FixedSamplerConfig, {"way": 5, "shot": 0}, "shot must be >= 1"),
+            (FixedSamplerConfig, {"way": 5, "shot": 1, "query_per_class": 0}, "query_per_class"),
+            (FixedSamplerConfig, {"way": 5, "shot": 1, "seed": -1}, "seed must be nonnegative"),
+        ]:
+            with pytest.raises(InvalidSpec, match=match):
+                cls(**fields)
+
+    @pytest.mark.parametrize(
+        "cfg", [VariableSamplerConfig(), FixedSamplerConfig(way=5, shot=1)], ids=["variable", "fixed"]
+    )
+    def test_negative_episode_index(self, big_ds, cfg):
+        sample_task(big_ds, cfg, 0)
+        with pytest.raises(InvalidSpec, match="episode index must be nonnegative"):
+            sample_task(big_ds, cfg, -1)
+
+    def test_unknown_config_type(self, big_ds):
+        with pytest.raises(InvalidSpec, match="unknown sampler config type SimpleNamespace"):
+            sample_task(big_ds, SimpleNamespace(seed=0), 0)
 

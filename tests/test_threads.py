@@ -1,7 +1,8 @@
 """BLAS threads: the CLI and pool workers run OpenBLAS on one thread, the
-caller's thread counts come back unchanged, and reports do not depend on
-the thread count."""
+CLI leaves its process there, a library caller's thread counts come back
+unchanged, and reports do not depend on the thread count."""
 
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import mahashot.cli as cli
 import mahashot.harness as harness
+import mahashot.numerics as numerics
 from mahashot import (
     FixedSamplerConfig,
     RefineConfig,
@@ -21,11 +23,10 @@ from mahashot import (
     render_report,
     write_dataset,
 )
-from mahashot.numerics import _openblas_thread_controls
 
 PACKAGE_ROOT = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
-CONTROLS = _openblas_thread_controls()
+CONTROLS = numerics._openblas_thread_controls()
 needs_openblas = pytest.mark.skipif(
     not CONTROLS, reason="no OpenBLAS thread-count symbols in this process"
 )
@@ -48,17 +49,26 @@ def small_ds():
     )
 
 
+@contextlib.contextmanager
+def blas_threads_at(n: int):
+    """Every OpenBLAS at ``n`` threads for the block; the counts before it after."""
+    before = blas_threads()
+    for _, set_ in CONTROLS:
+        set_(n)
+    try:
+        yield
+    finally:
+        for (_, set_), m in zip(CONTROLS, before):
+            set_(m)
+
+
 @pytest.fixture
 def two_blas_threads():
     """Every OpenBLAS at 2 threads for the test, so a pin that leaks shows."""
-    before = blas_threads()
-    for _, set_ in CONTROLS:
-        set_(2)
-    if blas_threads() != [2] * len(CONTROLS):
-        pytest.skip("OpenBLAS does not accept 2 threads here")
-    yield
-    for (_, set_), n in zip(CONTROLS, before):
-        set_(n)
+    with blas_threads_at(2):
+        if blas_threads() != [2] * len(CONTROLS):
+            pytest.skip("OpenBLAS does not accept 2 threads here")
+        yield
 
 
 _run_chunk = harness._episode_chunk
@@ -104,7 +114,7 @@ class TestPin:
         evaluate(small_ds, FIXED, REFINE, n_episodes=4, parallelism=2)
         assert blas_threads() == [2] * len(CONTROLS)
 
-    def test_cli_pins_and_restores(self, small_ds, two_blas_threads, monkeypatch, tmp_path):
+    def test_cli_pins_for_its_process(self, small_ds, two_blas_threads, monkeypatch, tmp_path):
         seen = []
         real = cli.evaluate
 
@@ -121,7 +131,16 @@ class TestPin:
         )
         assert rc == 0
         assert seen == [[1] * len(CONTROLS)]
-        assert blas_threads() == [2] * len(CONTROLS)
+        # Setting the count back would restart OpenBLAS's threads.
+        assert blas_threads() == [1] * len(CONTROLS)
+
+
+def test_no_thread_controls_without_a_memory_map(monkeypatch):
+    def no_map(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(numerics, "open", no_map, raising=False)
+    assert numerics._openblas_thread_controls.__wrapped__() == ()
 
 
 # d = 128 is large enough for OpenBLAS to split work across threads.
@@ -133,7 +152,10 @@ def d128():
     ds = generate_synthetic(
         SyntheticSpec(n_classes=12, dim=128, mean_scale=0.45, per_class=40, seed=5)
     )
-    report = evaluate(ds, VariableSamplerConfig(), RefineConfig(), D128_EPISODES)
+    # The reference runs at two BLAS threads (an in-process CLI run before it
+    # leaves one); every run compared with it below runs at one.
+    with blas_threads_at(2):
+        report = evaluate(ds, VariableSamplerConfig(), RefineConfig(), D128_EPISODES)
     return ds, render_report(report, "json")
 
 
@@ -143,7 +165,7 @@ class TestThreadCountIndependence:
         report = evaluate(ds, VariableSamplerConfig(), RefineConfig(), D128_EPISODES, parallelism=2)
         assert render_report(report, "json") == serial
 
-    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
     def test_cli_under_openblas_env(self, d128, tmp_path, threads):
         ds, serial = d128
         path = tmp_path / "ds.emb"
