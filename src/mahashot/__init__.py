@@ -40,15 +40,11 @@ from .errors import (
 from .estimation import (
     ClassParams,
     Responsibilities,
-    TaskStats,
     estimate_unweighted,
     estimate_weighted,
 )
 from .harness import (
-    AblationGrid,
     AblationSpec,
-    EvalReport,
-    GridCell,
     emit_report,
     evaluate,
     render_report,
@@ -66,7 +62,6 @@ from .refinement import RefineConfig, RefineTrace, classify_task, refine
 from .sampler import (
     FixedSamplerConfig,
     VariableSamplerConfig,
-    episode_rng,
     sample_fixed,
     sample_task,
     sample_variable,

@@ -89,7 +89,7 @@ def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -111,7 +111,7 @@ def _dump_episodes_json(dataset, cfg, n_episodes) -> str:
             {
                 "index": i,
                 "way": task.way,
-                "class_names": list(task.class_names or []),
+                "class_names": list(task.class_names),
                 "support": [
                     {"label": int(y), "z": [float(x) for x in z]}
                     for z, y in zip(task.support_z, task.support_y)
@@ -133,7 +133,7 @@ def _dump_episodes_csv(dataset, cfg, n_episodes) -> str:
     writer.writerow(header)
     for i in range(n_episodes):
         task = sample_task(dataset, cfg, i)
-        names = task.class_names or tuple(str(k) for k in range(task.way))
+        names = task.class_names
         for z, y in zip(task.support_z, task.support_y):
             writer.writerow([i, "support", int(y), names[int(y)]] + [f"{x:.17g}" for x in z])
         for z, y in zip(task.query_z, task.truth):

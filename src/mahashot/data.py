@@ -204,21 +204,19 @@ def generate_synthetic(spec: SyntheticSpec) -> EmbeddingDataset:
 
 def load_dataset(path, format: str) -> EmbeddingDataset:
     """Load an embedding dataset from ``path`` in the given format."""
-    if format == CSV_FORMAT:
-        return _load_csv(path)
-    if format == BINARY_FORMAT:
-        return _load_binary(path)
-    raise InvalidSpec(f"unknown dataset format {format!r}; expected one of {DATASET_FORMATS}")
+    return _codec(format)[0](path)
 
 
 def write_dataset(dataset: EmbeddingDataset, path, format: str) -> None:
     """Write ``dataset`` to ``path``; see the module docstring for formats."""
-    if format == CSV_FORMAT:
-        _write_csv(dataset, path)
-    elif format == BINARY_FORMAT:
-        _write_binary(dataset, path)
-    else:
+    _codec(format)[1](dataset, path)
+
+
+def _codec(format: str):
+    """The (loader, writer) pair of ``format``."""
+    if format not in _CODECS:
         raise InvalidSpec(f"unknown dataset format {format!r}; expected one of {DATASET_FORMATS}")
+    return _CODECS[format]
 
 
 def _load_csv(path) -> EmbeddingDataset:
@@ -232,28 +230,31 @@ def _load_csv(path) -> EmbeddingDataset:
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise ParseError(f"file is not valid UTF-8 ({exc.reason})", line=line) from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    for row in reader:
-        lineno = reader.line_num  # the physical line the record ends on
-        if not row:
-            continue  # blank line
-        name = row[0]
-        if len(row) < 2:
-            raise ParseError("row has no feature columns", line=lineno)
-        if dim is None:
-            dim = len(row) - 1
-        elif len(row) - 1 != dim:
-            raise DimensionMismatch(
-                f"line {lineno}: row has {len(row) - 1} features, expected {dim}"
-            )
-        try:
-            vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"unparseable feature value ({exc})", line=lineno) from None
-        if not np.all(np.isfinite(vec)):
-            raise ParseError("non-finite feature value", line=lineno)
-        classes.setdefault(name, []).append(vec)
+    try:
+        for row in reader:
+            lineno = reader.line_num  # the physical line the record ends on
+            if not row:
+                continue  # blank line
+            name = row[0]
+            if len(row) < 2:
+                raise ParseError("row has no feature columns", line=lineno)
+            if dim is None:
+                dim = len(row) - 1
+            elif len(row) - 1 != dim:
+                raise DimensionMismatch(
+                    f"line {lineno}: row has {len(row) - 1} features, expected {dim}"
+                )
+            try:
+                vec = np.array([float(x) for x in row[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"unparseable feature value ({exc})", line=lineno) from None
+            if not np.all(np.isfinite(vec)):
+                raise ParseError("non-finite feature value", line=lineno)
+            classes.setdefault(name, []).append(vec)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"malformed CSV ({exc})", line=reader.line_num) from None
     if not classes:
-        raise ParseError("file contains no embedding rows", line=0)
+        raise ParseError("file contains no embedding rows")
     return EmbeddingDataset(classes={k: np.vstack(v) for k, v in classes.items()})
 
 
@@ -271,21 +272,15 @@ def _load_binary(path) -> EmbeddingDataset:
         size = os.fstat(fh.fileno()).st_size
         pos = 0
 
-        def take(n: int, what: str, rows: tuple[int, int] | None = None):
-            """The next ``n`` bytes, or, given ``rows``, a new ``<f8`` array of
-            that shape read in place. Every size comes from the file, so it is
+        def take(n: int, what: str) -> bytes:
+            """The next ``n`` bytes. Every size comes from the file, so it is
             checked against the bytes left before anything is allocated."""
             nonlocal pos
             if pos + n > size:
                 raise ParseError(f"truncated file while reading {what}", offset=pos)
-            if rows is None:
-                chunk = fh.read(n)
-                got = len(chunk)
-            else:
-                chunk = np.empty(rows, dtype="<f8")
-                got = fh.readinto(chunk)
-            if got != n:  # the file shrank while being read
-                raise ParseError(f"truncated file while reading {what}", offset=pos + got)
+            chunk = fh.read(n)
+            if len(chunk) != n:  # the file shrank while being read
+                raise ParseError(f"truncated file while reading {what}", offset=pos + len(chunk))
             pos += n
             return chunk
 
@@ -304,9 +299,9 @@ def _load_binary(path) -> EmbeddingDataset:
             if name in classes:
                 raise ParseError(f"duplicate class name {name!r}", offset=name_at)
             (n_rows,) = struct.unpack("<I", take(4, "row count"))
-            if n_rows == 0:
-                raise EmptyClass(f"class {name!r} has zero rows")
-            classes[name] = take(n_rows * dim * 8, f"rows of class {name!r}", (n_rows, dim))
+            rows = take(n_rows * dim * 8, f"rows of class {name!r}")
+            # A read-only view of the bytes just read: the file is held once.
+            classes[name] = np.frombuffer(rows, dtype="<f8").reshape(n_rows, dim)
     if pos != size:
         raise ParseError("trailing bytes after last class", offset=pos)
     return EmbeddingDataset(classes=classes)
@@ -321,3 +316,6 @@ def _write_binary(dataset: EmbeddingDataset, path) -> None:
         for encoded, rows in zip(names, dataset.classes.values()):
             fh.write(struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", rows.shape[0]))
             fh.write(np.ascontiguousarray(rows, dtype="<f8"))
+
+
+_CODECS = {CSV_FORMAT: (_load_csv, _write_csv), BINARY_FORMAT: (_load_binary, _write_binary)}

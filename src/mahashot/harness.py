@@ -442,5 +442,5 @@ def render_report(obj: EvalReport | AblationGrid, format: str) -> str:
 def emit_report(obj: EvalReport | AblationGrid, format: str, path) -> None:
     """Write :func:`render_report` output to ``path``."""
     text = render_report(obj, format)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)

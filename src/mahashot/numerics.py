@@ -88,9 +88,8 @@ def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
             lower = np.linalg.cholesky(q + eps * eye)
         except np.linalg.LinAlgError:
             continue
+        # dpotrf rejects a pivot <= 0 or NaN, so a factor of a finite matrix has a finite logdet.
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-        if not np.isfinite(logdet):
-            break
         return SpdFactor(lower=lower, logdet=logdet, jitter=float(eps))
     raise FactorizationFailed(f"Cholesky failed for all jitter values {tuple(jitter_schedule)}")
 
@@ -198,15 +197,15 @@ def _openblas_thread_controls() -> tuple:
     loaded count; empty where there is no map, no OpenBLAS, or no symbols.
     """
     try:
-        with open("/proc/self/maps") as fh:
-            paths = [line.split(None, 5)[-1].strip() for line in fh]
+        with open("/proc/self/maps", "rb") as fh:  # paths need not be UTF-8
+            paths = [os.fsdecode(line.split(None, 5)[-1].strip()) for line in fh]
     except OSError:
         return ()
     controls = []
     for path in dict.fromkeys(p for p in paths if "openblas" in os.path.basename(p)):
         try:
             lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
+        except (OSError, UnicodeDecodeError):  # ctypes decodes dlerror's text, path and all
             continue
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):

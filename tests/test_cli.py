@@ -175,6 +175,25 @@ class TestSample:
         assert not out.exists()
 
 
+def test_text_output_is_utf8_under_an_ascii_locale(tmp_path):
+    path = tmp_path / "ds.emb"
+    classes = {"café": np.zeros((2, 2)), "naïve": np.ones((2, 2))}
+    write_dataset(EmbeddingDataset(classes=classes), path, "packed-binary")
+    root = str(pathlib.Path(mahashot.__file__).resolve().parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    out = tmp_path / "episodes.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mahashot.cli", "sample", "--dataset", str(path),
+         "--sampler", "fixed", "--way", "2", "--shot", "1", "--query-per-class", "1",
+         "--episodes", "1", "--format", "csv", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_bytes().decode("utf-8")
+    assert "café" in text and "naïve" in text
+
+
 class TestEval:
     def test_report_roundtrip_and_exit_code(self, dataset_path, tmp_path):
         out = tmp_path / "report.json"
@@ -384,8 +403,10 @@ class TestExitCodes:
             ("packed-binary", b"EMB1" + struct.pack("<II", 0, 1), "dimension must be positive"),
             ("csv", b"a,1.0\nb\n", "row has no feature columns (line 2)"),
             ("csv", b"", "file contains no embedding rows"),
+            ("csv", b'a,1.0\n"' + b"x" * 140_000, "malformed CSV"),
         ],
-        ids=["trailing-bytes", "duplicate-name", "zero-dim", "no-features", "empty-csv"],
+        ids=["trailing-bytes", "duplicate-name", "zero-dim", "no-features", "empty-csv",
+             "oversized-csv-field"],
     )
     def test_rejected_dataset_file_is_data_error(self, tmp_path, capsys, format, blob, message):
         path = tmp_path / "bad"
@@ -410,6 +431,51 @@ class TestExitCodes:
         )
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: episode 0 failed:")
+
+
+def _random_blobs(format, rng, count=200):
+    """Seeded dataset files: half random bytes, half well-formed ones with values
+    from 1e-300 to 1e300, cut short or run on by up to 2 bytes, with (CSV) stray tokens."""
+    names = [b"a", b"b", b"", b"\xc3\xa9"]
+    tokens = [b",", b"\n", b"\r", b'"', b"-", b"e", b"1", b".", b"\x00", b"\xc3\xa9"]
+    for i in range(count):
+        if i % 2 == 0:
+            yield rng.bytes(int(rng.integers(0, 300)))
+            continue
+        dim = int(rng.integers(0, 4))
+        classes = [(names[k], rng.standard_normal((int(rng.integers(0, 4)), dim))
+                    * 10.0 ** int(rng.integers(-300, 300))) for k in rng.permutation(len(names))[:3]]
+        if format == "csv":
+            blob = b"".join(name + b"".join(b",%.17g" % x for x in row) + b"\n"
+                            for name, rows in classes for row in rows)
+            for _ in range(int(rng.integers(0, 3))):
+                at = int(rng.integers(len(blob) + 1))
+                blob = blob[:at] + tokens[int(rng.integers(len(tokens)))] + blob[at:]
+        else:
+            blob = b"EMB1" + struct.pack("<II", dim, len(classes))
+            for name, rows in classes:
+                blob += struct.pack("<I", len(name)) + name + struct.pack("<I", rows.shape[0])
+                blob += rows.astype("<f8").tobytes()
+        cut = int(rng.integers(-2, 3))
+        yield blob[: len(blob) + cut] if cut < 0 else blob + rng.bytes(cut)
+    if format == "csv":  # one field past the csv module's 128 KiB limit
+        yield b'a,1.0\nb,2.0\n"' + b"x" * 140_000
+
+
+@pytest.mark.parametrize("format", ["csv", "packed-binary"])
+def test_random_dataset_files_are_data_errors_or_load(tmp_path, capsys, format):
+    rng = np.random.default_rng(14)
+    path = tmp_path / "blob"
+    codes = []
+    for blob in _random_blobs(format, rng):
+        path.write_bytes(blob)
+        codes.append(main(
+            ["eval", "--dataset", str(path), "--dataset-format", format, "--sampler", "fixed",
+             "--way", "2", "--shot", "1", "--query-per-class", "1", "--episodes", "1",
+             "--out", str(tmp_path / "out")]
+        ))
+    capsys.readouterr()
+    assert set(codes) <= {0, 3}
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc")

@@ -111,9 +111,69 @@ class TestCsvLoading:
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
-        p.write_text("")
-        with pytest.raises(ParseError, match="no embedding rows"):
+        for text in ["", "\n\n\r\n"]:
+            p.write_text(text, newline="")
+            with pytest.raises(ParseError, match="no embedding rows") as info:
+                load_dataset(p, "csv")
+            assert info.value.line is None
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('a,1.0,2.0\n"' + "x" * 140_000 + ",1.0,2.0\n", 2),  # an unclosed quote
+            ("a,1.0,2.0\nb,1.0,2.0\n" + "c" * 140_000 + ",1.0,2.0\n", 3),  # a long name
+        ],
+        ids=["open-quote", "long-name"],
+    )
+    def test_oversized_field_reports_its_line(self, tmp_path, text, line):
+        p = tmp_path / "big.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="malformed CSV") as info:
             load_dataset(p, "csv")
+        assert info.value.line == line
+
+
+class TestCsvFuzz:
+    """Every truncation and seeded single-byte changes of a small file with a
+    quoted name either load or raise a package error."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        names = ["a", "comma, and\nnewline", "b"]
+        ds = EmbeddingDataset({name: np.arange(6.0).reshape(2, 3) + i for i, name in enumerate(names)})
+        write_dataset(ds, tmp_path / "ds.csv", "csv")
+        return (tmp_path / "ds.csv").read_bytes()
+
+    def test_every_truncation(self, tmp_path, blob):
+        p = tmp_path / "cut.csv"
+        for n in range(len(blob)):
+            load_or_package_error(p, blob[:n], "csv")
+
+    def test_single_byte_changes(self, tmp_path, blob):
+        rng = np.random.default_rng(13)
+        p = tmp_path / "flip.csv"
+        for _ in range(1000):
+            changed = bytearray(blob)
+            at = int(rng.integers(len(blob)))
+            changed[at] ^= int(rng.integers(1, 256))
+            load_or_package_error(p, bytes(changed), "csv")
+
+
+def load_or_package_error(path, blob, format):
+    """Whether ``blob`` loads; any error other than a package error fails."""
+    path.write_bytes(blob)
+    try:
+        load_dataset(path, format)
+    except MahashotError:
+        return False
+    return True
+
+
+def test_unknown_format_writes_nothing(tmp_path):
+    ds = EmbeddingDataset({"a": np.zeros((1, 2))})
+    with pytest.raises(InvalidSpec, match="unknown dataset format 'bogus'"):
+        write_dataset(ds, tmp_path / "out", "bogus")
+    assert not (tmp_path / "out").exists()
 
 
 class TestBinaryFormat:
@@ -215,18 +275,9 @@ class TestBinaryFuzz:
         write_dataset(ds, tmp_path / "ds.emb", "packed-binary")
         return (tmp_path / "ds.emb").read_bytes()
 
-    @staticmethod
-    def load_or_package_error(path, blob):
-        path.write_bytes(blob)
-        try:
-            load_dataset(path, "packed-binary")
-        except MahashotError:
-            return False
-        return True
-
     def test_every_truncation(self, tmp_path, blob):
         p = tmp_path / "cut.emb"
-        loaded = [self.load_or_package_error(p, blob[:n]) for n in range(len(blob))]
+        loaded = [load_or_package_error(p, blob[:n], "packed-binary") for n in range(len(blob))]
         assert not any(loaded)
 
     def test_single_byte_changes(self, tmp_path, blob):
@@ -236,7 +287,7 @@ class TestBinaryFuzz:
             changed = bytearray(blob)
             at = int(rng.integers(len(blob)))
             changed[at] ^= int(rng.integers(1, 256))
-            self.load_or_package_error(p, bytes(changed))
+            load_or_package_error(p, bytes(changed), "packed-binary")
 
 
 class TestBinaryMemory:

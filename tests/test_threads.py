@@ -3,6 +3,7 @@ CLI leaves its process there, a library caller's thread counts come back
 unchanged, and reports do not depend on the thread count."""
 
 import contextlib
+import io
 import os
 import pathlib
 import subprocess
@@ -140,6 +141,21 @@ def test_no_thread_controls_without_a_memory_map(monkeypatch):
         raise FileNotFoundError(path)
 
     monkeypatch.setattr(numerics, "open", no_map, raising=False)
+    assert numerics._openblas_thread_controls.__wrapped__() == ()
+
+
+def test_a_path_that_is_not_utf8_in_the_memory_map_is_read(monkeypatch):
+    lines = b"".join(
+        b"7f0000000000-7f0000001000 r-xp 00000000 08:01 42 /opt/\xff/" + name + b"\n"
+        for name in (b"libm.so.6", b"libopenblas.so")
+    )
+
+    def maps(path, mode="r", *args, **kwargs):
+        raw = io.BytesIO(lines)
+        return raw if "b" in mode else io.TextIOWrapper(raw, encoding="utf-8")
+
+    monkeypatch.setattr(numerics, "open", maps, raising=False)
+    # Neither library is loaded, so no controls are found; nothing raises.
     assert numerics._openblas_thread_controls.__wrapped__() == ()
 
 
