@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Task
-from .errors import DegenerateClass, DimensionMismatch
+from .errors import DegenerateClass, DimensionMismatch, NonFiniteInput
 # The jitter fallback looks ``spd_factorize`` up here at call time: perfbench's traced run wraps it.
 from .numerics import SpdFactor, _factorize_stack, spd_factorize
 
@@ -129,8 +129,8 @@ def _blocks(nnz: list[int], d: int):
 
 def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassParams], TaskStats]:
     """Class parameters and task statistics of rows ``z`` under weights ``w``."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     counts = w.sum(axis=0)  # soft count per class
     low = np.flatnonzero(counts < EPS_COUNT)
     if low.size:
@@ -169,6 +169,9 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         q = 0.5 * (q + q.transpose(0, 2, 1))  # kill rounding asymmetry from the matmuls
         stacked = _factorize_stack(q)
         if stacked is None:  # some class needs jitter, or q is not finite
+            # Rows, weights and beta are finite, so only the scatter overflowed.
+            if not np.all(np.isfinite(q)):
+                raise NonFiniteInput("embedding scatter overflows float64")
             factors = [spd_factorize(qk) for qk in q]
         else:
             factors = [SpdFactor(lower=f, logdet=float(g), jitter=0.0) for f, g in zip(*stacked)]

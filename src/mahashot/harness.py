@@ -11,13 +11,14 @@ every cell and differences are attributable to the method config alone.
 The min/max step bounds only decide where refinement stops, so each
 (rule, query count, repeat, episode) is sampled and refined once, far
 enough for every cell, and each cell reads its stopping point off that
-trajectory. A call starts at most one worker pool, which receives the
-dataset once per worker.
+trajectory. At ``parallelism`` N a call runs its episodes in at most N
+processes: its own, which runs the last share, and at most one pool of
+N - 1 workers, which receives the dataset once per worker.
 
 Reports serialize deterministically: fixed key order, floats rendered
 with 17 significant digits. Identical inputs give byte-identical files
-regardless of worker-pool width, because per-episode results come back
-in job order and are reduced only after all episodes finish.
+regardless of ``parallelism``, because per-episode results are joined
+in job order and reduced only after all episodes finish.
 """
 
 from __future__ import annotations
@@ -140,7 +141,10 @@ def _trajectory(
     iteration t repeats the labels of t-1 (t = 1: iff no query rows)."""
     try:
         task = sample_task(ds, sampler_cfg, index)
-        trace = refine(task, refine_cfg)
+        # Embeddings near the float64 limit overflow the class scatter, which
+        # estimation reports as NonFiniteInput; numpy's warning would repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = refine(task, refine_cfg)
     except MahashotError as exc:
         raise EpisodeFailure(index, exc) from exc
     shots = task.class_counts()
@@ -198,17 +202,29 @@ def _trajectories(
     episodes = [(s, r, i) for s, r in runs for i in range(n_episodes)]
     if parallelism == 1 or len(episodes) < 2:
         return [_trajectory(ds, *episode) for episode in episodes]
-    n = min(len(episodes), 4 * parallelism)
-    chunks = [episodes[j * len(episodes) // n : (j + 1) * len(episodes) // n] for j in range(n)]
-    # Forked workers all start at the first submit, so start no idle ones.
-    workers = min(parallelism, len(chunks))
-    # The pool is the parallelism: BLAS is pinned to one thread in the
-    # parent, so forked workers inherit one thread.
+    # The calling process is one of the workers. A pool of the others runs
+    # the head of the job list, in no fewer chunks than it has workers, while
+    # the caller runs the tail, a 1/workers share.
+    workers = min(parallelism, len(episodes))
+    split = len(episodes) * (workers - 1) // workers
+    n = min(split, 4 * (workers - 1))
+    chunks = [episodes[j * split // n : (j + 1) * split // n] for j in range(n)]
+    # BLAS is pinned to one thread in the caller, for its own share and so
+    # that forked workers inherit one thread.
     with _single_blas_thread(), ProcessPoolExecutor(
-        workers, initializer=_init_worker, initargs=(ds,)
+        workers - 1, initializer=_init_worker, initargs=(ds,)
     ) as pool:
         # map yields in job order, whichever worker finishes first.
-        return [steps for part in pool.map(_episode_chunk, chunks) for steps in part]
+        head = pool.map(_episode_chunk, chunks)
+        try:
+            tail = [_trajectory(ds, *episode) for episode in episodes[split:]]
+        except EpisodeFailure:
+            # The pool's jobs come first, so a failure among them is raised
+            # first, as a serial run would.
+            for _ in head:
+                pass
+            raise
+        return [steps for part in head for steps in part] + tail
 
 
 def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> EvalReport:

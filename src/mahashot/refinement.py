@@ -48,8 +48,8 @@ class RefineConfig:
             raise ValueError(
                 f"max_steps must be >= max(1, min_steps), got {self.max_steps}"
             )
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_embeddings_are_a_data_error(self, tmp_path, capsys):
+        # Finite rows whose squares overflow float64 pass every dataset check.
+        path = tmp_path / "huge.emb"
+        rng = np.random.default_rng(3)
+        classes = {name: rng.standard_normal((4, 3)) * 1e300 for name in "ab"}
+        write_dataset(EmbeddingDataset(classes=classes), path, "packed-binary")
+        rc = main(
+            ["eval", "--dataset", str(path), "--sampler", "fixed", "--way", "2", "--shot", "1",
+             "--query-per-class", "1", "--episodes", "1", "--out", str(tmp_path / "out")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: episode 0 failed: embedding scatter overflows float64\n"
+        )
+
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):
         # Three rows per class cannot give shot 2 plus 10 queries.
@@ -462,6 +478,7 @@ def _random_blobs(format, rng, count=200):
         yield b'a,1.0\nb,2.0\n"' + b"x" * 140_000
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("format", ["csv", "packed-binary"])
 def test_random_dataset_files_are_data_errors_or_load(tmp_path, capsys, format):
     rng = np.random.default_rng(14)

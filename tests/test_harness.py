@@ -20,6 +20,7 @@ from mahashot import (
     FixedSamplerConfig,
     RefineConfig,
     SyntheticSpec,
+    VariableSamplerConfig,
     emit_report,
     evaluate,
     generate_synthetic,
@@ -134,6 +135,37 @@ class TestEvaluate:
         with pytest.raises(EpisodeFailure) as info:
             evaluate(ds, cfg, REFINE, n_episodes=3, parallelism=2)
         assert info.value.index == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="patches a forked pool"
+    )
+    @pytest.mark.parametrize(
+        "first_failing, n_episodes, named",
+        [
+            (1, 4, 1),  # both halves fail: the pool's episode comes first
+            (2, 4, 2),  # only the caller's share fails, from its first episode
+            (5, 7, 5),  # only the caller's share fails, from its third episode
+        ],
+    )
+    def test_pooled_failure_names_first_failing_episode(
+        self, small_ds, monkeypatch, first_failing, n_episodes, named
+    ):
+        real = harness._trajectory
+
+        def failing(ds, sampler_cfg, refine_cfg, index):
+            if index >= first_failing:
+                raise EpisodeFailure(index, "injected")
+            return real(ds, sampler_cfg, refine_cfg, index)
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(harness, "_trajectory", failing)
+        fork = functools.partial(
+            harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", fork)
+        with pytest.raises(EpisodeFailure) as info:
+            evaluate(small_ds, FIXED, REFINE, n_episodes=n_episodes, parallelism=2)
+        assert info.value.index == named
 
     def test_episode_failure_pickles_even_when_its_cause_does_not(self):
         failure = EpisodeFailure(4, DegenerateClass(1, 0.0))
@@ -332,8 +364,9 @@ class TestPool:
         assert pool_log["starts"] == 2
 
     def test_no_more_workers_than_jobs(self, small_ds, pool_log):
+        # The calling process is the third of three.
         evaluate(small_ds, FIXED, REFINE, n_episodes=3, parallelism=4)
-        assert pool_log["workers"] == [3]
+        assert pool_log["workers"] == [2]
 
     def test_job_bytes_do_not_grow_with_dataset_rows(self, pool_log):
         shipped = []
@@ -346,6 +379,24 @@ class TestPool:
             shipped.append(pool_log["job_bytes"])
         assert shipped[0] > 0
         assert shipped[0] == shipped[1]
+
+    @pytest.mark.parametrize("n_episodes, parallelism", [(2, 2), (3, 4), (5, 3), (7, 2)])
+    def test_reports_match_serial_at_any_split(self, small_ds, n_episodes, parallelism):
+        # One run, so the jobs are the episodes: the caller's share is
+        # n_episodes // min(parallelism, n_episodes) of them.
+        sampler = VariableSamplerConfig(
+            way_min=2, way_max=5, shot_min=1, shot_max=6, query_per_class=4, seed=3
+        )
+        spec = AblationSpec(
+            min_steps=(0, 2), max_steps=(1, 3), episodes=n_episodes, repeats=1, seed=9
+        )
+
+        def render(parallelism):
+            report = evaluate(small_ds, sampler, REFINE, n_episodes, parallelism=parallelism)
+            grid = run_ablation(small_ds, FIXED, spec, parallelism=parallelism)
+            return [render_report(obj, f) for obj in (report, grid) for f in ("json", "csv")]
+
+        assert render(parallelism) == render(1)
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_fresh_start_workers_render_same_bytes(self, small_ds, monkeypatch, method):

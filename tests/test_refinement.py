@@ -153,6 +153,48 @@ class TestQueryOrderEquivariance:
         assert len(stops) > 1  # the tasks do not all stop the same way
 
 
+def _smallest_margin(task, cfg):
+    """Smallest gap between a query's two likeliest classes, over the first
+    ``cfg.max_steps`` iterations of refinement."""
+    gaps = []
+    for t in range(1, cfg.max_steps + 1):
+        probs = refine(task, RefineConfig(t, t, cfg.rule, cfg.beta)).final_resp.query
+        top = np.sort(probs, axis=1)
+        gaps.append(np.min(top[:, -1] - top[:, -2]))
+    return min(gaps)
+
+
+class TestClassRelabelEquivariance:
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_relabelling_classes_permutes_every_iterations_labels(self, rule):
+        cfg = RefineConfig(min_steps=2, max_steps=6, rule=rule)
+        checked, stops = 0, set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            task = make_task(rng, way=4, d=5, queries=16, spread=1.5)
+            # Below this margin a relabelled argmax may turn on rounding.
+            if _smallest_margin(task, cfg) < 1e-6:
+                continue
+            perm = rng.permutation(task.way)  # class k becomes class perm[k]
+            relabelled = Task(
+                support_z=task.support_z,
+                support_y=perm[task.support_y],
+                query_z=task.query_z,
+                truth=perm[task.truth],
+                way=task.way,
+            )
+            t1, t2 = refine(task, cfg), refine(relabelled, cfg)
+            assert t2.iterations_run == t1.iterations_run
+            assert t2.converged_early == t1.converged_early
+            assert len(t2.labels_per_iteration) == len(t1.labels_per_iteration)
+            for a, b in zip(t1.labels_per_iteration, t2.labels_per_iteration):
+                np.testing.assert_array_equal(b, perm[a])
+            checked += 1
+            stops.add((t1.iterations_run, t1.converged_early))
+        assert checked >= 20
+        assert len(stops) > 1  # the tasks do not all stop the same way
+
+
 class TestClassifyTask:
     def test_single_class_single_query(self):
         task = Task(
@@ -206,3 +248,8 @@ class TestConfigValidation:
             RefineConfig(min_steps=0, max_steps=0)
         with pytest.raises(ValueError):
             RefineConfig(min_steps=0, max_steps=1, beta=-0.5)
+
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            RefineConfig(beta=beta)

@@ -84,22 +84,25 @@ def _probe_chunk(episodes):
 
 @pytest.fixture
 def worker_threads(small_ds, two_blas_threads, monkeypatch):
-    """(BLAS counts, OS thread count) seen by each job of a 2-worker pool."""
+    """(BLAS counts, OS thread count) seen by each pool job of a 2-process run."""
     monkeypatch.setattr(harness, "_episode_chunk", _probe_chunk)
-    return harness._trajectories(small_ds, [(FIXED, REFINE)], 4, parallelism=2)
+    results = harness._trajectories(small_ds, [(FIXED, REFINE)], 4, parallelism=2)
+    # The caller's own share comes back as steps; only pool jobs probe.
+    probes = [r for r in results if isinstance(r, tuple)]
+    assert probes, "no episode ran in the pool"
+    return probes
 
 
 @needs_openblas
 class TestPin:
     def test_pool_workers_run_one_blas_thread(self, worker_threads):
-        assert len(worker_threads) == 4
         assert all(counts == [1] * len(CONTROLS) for counts, _ in worker_threads)
 
     @needs_proc_tasks
     def test_pool_workers_have_one_os_thread(self, worker_threads):
         # Setting the count again in a forked worker restarts OpenBLAS's
         # thread pool there, whose idle threads then compete for the cores.
-        assert [tasks for _, tasks in worker_threads] == [1] * 4
+        assert [tasks for _, tasks in worker_threads] == [1] * len(worker_threads)
 
     def test_evaluate_pins_only_the_pool(self, small_ds, two_blas_threads, monkeypatch):
         seen = []
@@ -112,7 +115,9 @@ class TestPin:
         monkeypatch.setattr(harness, "refine", spy)
         evaluate(small_ds, FIXED, REFINE, n_episodes=2, parallelism=1)
         assert seen == [[2] * len(CONTROLS)] * 2
+        # The caller runs its own share of a pooled call at one thread.
         evaluate(small_ds, FIXED, REFINE, n_episodes=4, parallelism=2)
+        assert seen[2:] and all(counts == [1] * len(CONTROLS) for counts in seen[2:])
         assert blas_threads() == [2] * len(CONTROLS)
 
     def test_cli_pins_for_its_process(self, small_ds, two_blas_threads, monkeypatch, tmp_path):
