@@ -12,8 +12,12 @@ The min/max step bounds only decide where refinement stops, so each
 (rule, query count, repeat, episode) is sampled and refined once, far
 enough for every cell, and each cell reads its stopping point off that
 trajectory. At ``parallelism`` N a call runs its episodes in at most N
-processes: its own, which runs the last share, and at most one pool of
-N - 1 workers, which receives the dataset once per worker.
+processes: its own, which runs the last share, and at most N - 1 worker
+processes started for the call. Each worker runs one contiguous share of
+the head of the job list, fixed when it starts, and sends its results back
+over its own pipe. Workers follow multiprocessing's process-wide start
+method: under fork nothing is pickled to a worker; under spawn or
+forkserver the dataset and the share are pickled once per worker.
 
 Reports serialize deterministically: fixed key order, floats rendered
 with 17 significant digits. Identical inputs give byte-identical files
@@ -29,8 +33,12 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+
+# Unused here. Only perfbench's traced run reads it, to install its pool
+# hook, until that hook moves to the worker start (ROADMAP item 4).
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +198,28 @@ def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
     return [_trajectory(_worker_dataset, *episode) for episode in episodes]
 
 
+def _worker(ds: EmbeddingDataset, share, conn) -> None:
+    """Body of a pool worker: its share's steps, or the exception that
+    stopped them, go back to the caller over the worker's own pipe."""
+    try:
+        _init_worker(ds)
+        result = _episode_chunk(share)
+    except Exception as exc:  # raised by the caller, in job order
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _worker_result(first: int, proc, recv):
+    """What a worker sent, or the failure of the episode its share starts
+    with if it exited without sending anything."""
+    try:
+        return recv.recv()
+    except EOFError:
+        proc.join()
+        return EpisodeFailure(first, f"pool worker exited with code {proc.exitcode}")
+
+
 def _trajectories(
     ds: EmbeddingDataset,
     runs: list[tuple[SamplerConfig, RefineConfig]],
@@ -202,29 +232,45 @@ def _trajectories(
     episodes = [(s, r, i) for s, r in runs for i in range(n_episodes)]
     if parallelism == 1 or len(episodes) < 2:
         return [_trajectory(ds, *episode) for episode in episodes]
-    # The calling process is one of the workers. A pool of the others runs
-    # the head of the job list, in no fewer chunks than it has workers, while
-    # the caller runs the tail, a 1/workers share.
+    # The calling process is one of the workers. Each of the others runs one
+    # contiguous share of the head of the job list, while the caller runs
+    # the tail, a 1/workers share.
     workers = min(parallelism, len(episodes))
     split = len(episodes) * (workers - 1) // workers
-    n = min(split, 4 * (workers - 1))
-    chunks = [episodes[j * split // n : (j + 1) * split // n] for j in range(n)]
+    bounds = [j * split // (workers - 1) for j in range(workers)]
+    ctx = multiprocessing.get_context()
+    pool = []
     # BLAS is pinned to one thread in the caller, for its own share and so
     # that forked workers inherit one thread.
-    with _single_blas_thread(), ProcessPoolExecutor(
-        workers - 1, initializer=_init_worker, initargs=(ds,)
-    ) as pool:
-        # map yields in job order, whichever worker finishes first.
-        head = pool.map(_episode_chunk, chunks)
+    with _single_blas_thread():
         try:
-            tail = [_trajectory(ds, *episode) for episode in episodes[split:]]
-        except EpisodeFailure:
-            # The pool's jobs come first, so a failure among them is raised
-            # first, as a serial run would.
-            for _ in head:
-                pass
+            for lo, hi in zip(bounds, bounds[1:]):
+                recv, send = ctx.Pipe(duplex=False)
+                with send:
+                    proc = ctx.Process(target=_worker, args=(ds, episodes[lo:hi], send))
+                    proc.start()
+                pool.append((episodes[lo][2], proc, recv))
+            try:
+                tail = [_trajectory(ds, *episode) for episode in episodes[split:]]
+            except Exception as exc:
+                tail = exc
+            # Every worker's result is read before any failure is raised, so
+            # that no worker is left writing into a closed pipe.
+            parts = [_worker_result(*worker) for worker in pool] + [tail]
+        except BaseException:
+            for _, proc, _ in pool:
+                proc.terminate()
             raise
-        return [steps for part in head for steps in part] + tail
+        finally:
+            for _, proc, recv in pool:
+                proc.join()
+                recv.close()
+    # The parts are in job order, so the first failure is the one a serial
+    # run would raise.
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return [steps for part in parts for steps in part]
 
 
 def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> EvalReport:

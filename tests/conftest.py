@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,20 @@ def without_query(task):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def start_method(request):
+    """multiprocessing's process-wide start method set for the test, and the
+    setting before it put back afterwards. The method is the test's indirect
+    ``start_method`` parameter, or fork, whose workers inherit the test's
+    patches, if it has none."""
+    method = getattr(request, "param", "fork")
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield method
+    finally:
+        multiprocessing.set_start_method(before, force=True)

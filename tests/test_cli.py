@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mahashot
+import mahashot.harness as harness
 from mahashot import (
     EmbeddingDataset,
     FixedSamplerConfig,
@@ -447,6 +448,23 @@ class TestExitCodes:
         )
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: episode 0 failed:")
+
+    def test_dead_pool_worker_is_data_error(
+        self, dataset_path, tmp_path, capsys, monkeypatch, start_method
+    ):
+        # Four episodes at parallelism 3: the workers run [0] and [1], the
+        # caller [2, 3]. The second worker exits without sending a result.
+        real = harness._episode_chunk
+
+        def dying(share):
+            if share[0][2] == 1:
+                os._exit(7)
+            return real(share)
+
+        monkeypatch.setattr(harness, "_episode_chunk", dying)
+        rc = run_eval(dataset_path, tmp_path / "out", ["--episodes", "4", "--parallelism", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: episode 1 failed: pool worker exited with code 7\n"
 
 
 def _random_blobs(format, rng, count=200):

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import multiprocessing
+import os
 import pickle
 from multiprocessing.reduction import ForkingPickler
 
@@ -136,9 +137,6 @@ class TestEvaluate:
             evaluate(ds, cfg, REFINE, n_episodes=3, parallelism=2)
         assert info.value.index == 0
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="patches a forked pool"
-    )
     @pytest.mark.parametrize(
         "first_failing, n_episodes, named",
         [
@@ -148,7 +146,7 @@ class TestEvaluate:
         ],
     )
     def test_pooled_failure_names_first_failing_episode(
-        self, small_ds, monkeypatch, first_failing, n_episodes, named
+        self, small_ds, monkeypatch, start_method, first_failing, n_episodes, named
     ):
         real = harness._trajectory
 
@@ -159,13 +157,33 @@ class TestEvaluate:
 
         # Forked workers inherit the patch.
         monkeypatch.setattr(harness, "_trajectory", failing)
-        fork = functools.partial(
-            harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
-        )
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", fork)
         with pytest.raises(EpisodeFailure) as info:
             evaluate(small_ds, FIXED, REFINE, n_episodes=n_episodes, parallelism=2)
         assert info.value.index == named
+
+    @pytest.mark.parametrize("failing", [(), (3, 4, 5)], ids=["clean", "failing"])
+    def test_pooled_call_joins_every_worker(
+        self, small_ds, monkeypatch, capfd, start_method, failing
+    ):
+        # Six jobs at parallelism 3: the workers run [0, 1] and [2, 3], the
+        # caller [4, 5]. The caller's share fails at once, while the second
+        # worker is still running and has yet to fail.
+        real = harness._trajectory
+
+        def run(ds, sampler_cfg, refine_cfg, index):
+            if index in failing:
+                raise EpisodeFailure(index, "injected")
+            return real(ds, sampler_cfg, refine_cfg, index)
+
+        monkeypatch.setattr(harness, "_trajectory", run)
+        if failing:
+            with pytest.raises(EpisodeFailure) as info:
+                evaluate(small_ds, FIXED, REFINE, n_episodes=6, parallelism=3)
+            assert info.value.index == 3
+        else:
+            evaluate(small_ds, FIXED, REFINE, n_episodes=6, parallelism=3)
+        assert multiprocessing.active_children() == []
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_episode_failure_pickles_even_when_its_cause_does_not(self):
         failure = EpisodeFailure(4, DegenerateClass(1, 0.0))
@@ -336,37 +354,36 @@ class TestTrajectoryDerivation:
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Count pool starts, and record each pool's worker count and the
-    function and the pickled bytes of the jobs every pool maps."""
-    log = {"starts": 0, "workers": [], "job_bytes": 0, "mapped": []}
+    """(process, share of jobs) of every pool worker started, in start order."""
+    workers = []
+    real = multiprocessing.process.BaseProcess.start
 
-    class CountingPool(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            log["starts"] += 1
-            super().__init__(*args, **kwargs)
-            log["workers"].append(self._max_workers)
+    def start(self):
+        if self._target is harness._worker:
+            workers.append((self, self._args[1]))
+        real(self)
 
-        def map(self, fn, *iterables, **kwargs):
-            jobs = list(zip(*iterables))
-            log["mapped"].append(fn)
-            log["job_bytes"] += sum(len(ForkingPickler.dumps((fn, job))) for job in jobs)
-            return super().map(fn, *zip(*jobs), **kwargs)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return workers
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    return log
+
+def episode_indices(workers):
+    return [[index for _, _, index in share] for _, share in workers]
 
 
 class TestPool:
     def test_one_pool_per_call(self, small_ds, pool_log):
-        run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=2)
-        assert pool_log["starts"] == 1
-        evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=2)
-        assert pool_log["starts"] == 2
+        # DERIVATION_SPEC has 8 runs: its workers start once, not once per run.
+        run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=3)
+        assert len(pool_log) == 2
+        # Workers run contiguous shares of the head; the caller runs [5, 8).
+        evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=3)
+        assert episode_indices(pool_log[2:]) == [[0, 1], [2, 3, 4]]
 
     def test_no_more_workers_than_jobs(self, small_ds, pool_log):
         # The calling process is the third of three.
         evaluate(small_ds, FIXED, REFINE, n_episodes=3, parallelism=4)
-        assert pool_log["workers"] == [2]
+        assert episode_indices(pool_log) == [[0], [1]]
 
     def test_job_bytes_do_not_grow_with_dataset_rows(self, pool_log):
         shipped = []
@@ -374,9 +391,9 @@ class TestPool:
             ds = generate_synthetic(
                 SyntheticSpec(n_classes=8, dim=4, mean_scale=2.0, per_class=per_class, seed=77)
             )
-            pool_log["job_bytes"] = 0
+            pool_log.clear()
             run_ablation(ds, FIXED, DERIVATION_SPEC, parallelism=2)
-            shipped.append(pool_log["job_bytes"])
+            shipped.append(sum(len(ForkingPickler.dumps(share)) for _, share in pool_log))
         assert shipped[0] > 0
         assert shipped[0] == shipped[1]
 
@@ -398,8 +415,8 @@ class TestPool:
 
         assert render(parallelism) == render(1)
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_fresh_start_workers_render_same_bytes(self, small_ds, monkeypatch, method):
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"], indirect=True)
+    def test_fresh_start_workers_render_same_bytes(self, small_ds, pool_log, start_method):
         # Workers that do not fork pin their own BLAS thread in _init_worker.
         def render(parallelism):
             report = evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=parallelism)
@@ -407,11 +424,9 @@ class TestPool:
             return render_report(report, "json"), render_report(grid, "json")
 
         serial = render(1)
-        pool = functools.partial(
-            harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
-        )
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
         assert render(2) == serial
+        fresh = multiprocessing.get_context(start_method).Process
+        assert len(pool_log) == 2 and all(isinstance(w, fresh) for w, _ in pool_log)
 
 
 class TestBenchmarkHooks:
@@ -419,15 +434,24 @@ class TestBenchmarkHooks:
     span-recording stand-ins, so each must exist and be looked up at call
     time (see perfbench/tracing.py)."""
 
-    def test_hooks_are_looked_up_at_call_time(self, small_ds, pool_log, monkeypatch, tmp_path):
+    # Only forked workers inherit the stand-ins, as they inherit the tracer's.
+    def test_hooks_are_looked_up_at_call_time(
+        self, small_ds, pool_log, monkeypatch, tmp_path, start_method
+    ):
         called = set()
+        main_pid = os.getpid()
+        worker_calls = tmp_path / "worker_calls"
 
         def spy(module, name):
             real = getattr(module, name)
 
             @functools.wraps(real)
             def wrapper(*args, **kwargs):
-                called.add(name)
+                if os.getpid() == main_pid:
+                    called.add(name)
+                else:  # a pool worker, whose memory the test cannot read
+                    with open(worker_calls, "a", encoding="utf-8") as fh:
+                        fh.write(name + "\n")
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -455,10 +479,11 @@ class TestBenchmarkHooks:
         assert cli.main(["eval", "--dataset", str(wide), "--way-min", "3", "--way-max", "3",
                          "--shot-min", "1", "--shot-max", "3", "--beta", "0", "--episodes", "2",
                          "--out", str(tmp_path / "wide_out")]) == 0
-        # _episode_chunk runs only in pool workers: check it is what the pool maps.
+        # _episode_chunk runs only in pool workers: check it is what the one
+        # worker ran.
         assert called == {name for _, name in hooks} - {"_episode_chunk"}
-        assert pool_log["starts"] == 1
-        assert pool_log["mapped"] == [harness._episode_chunk]
+        assert len(pool_log) == 1
+        assert worker_calls.read_text(encoding="utf-8").split().count("_episode_chunk") == 1
 
 
 class TestReportEmission:
