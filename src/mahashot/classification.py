@@ -46,8 +46,8 @@ class AssignmentRule:
             p = np.asarray(self.prior, dtype=np.float64)
             if p.ndim != 1 or p.size == 0:
                 raise ValueError("prior must be a non-empty 1-d simplex")
-            if not (np.all(np.isfinite(p)) and p.min() >= 0 and abs(p.sum() - 1.0) <= 1e-9):
-                raise ValueError("prior must be finite, nonnegative and sum to 1")
+            if not (np.all(np.isfinite(p)) and p.min() > 0 and abs(p.sum() - 1.0) <= 1e-9):
+                raise ValueError("prior must be finite, positive and sum to 1")
             object.__setattr__(self, "prior", tuple(float(x) for x in p))
 
 

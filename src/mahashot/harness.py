@@ -47,7 +47,7 @@ from .classification import AssignmentRule
 from .data import EmbeddingDataset
 from .errors import MahashotError
 from .numerics import _pin_single_blas_thread, _single_blas_thread
-from .refinement import RefineConfig, _stops, refine
+from .refinement import RefineConfig, _stop_at, refine
 from .sampler import SamplerConfig, sample_task
 
 REPORT_FORMATS = ("json", "csv")
@@ -82,11 +82,11 @@ class EpisodeFailure(MahashotError):
 
 @dataclass(frozen=True)
 class EpisodeOutcome:
-    """Per-episode measurements."""
+    """An episode's measurements had refinement stopped after ``iterations_run``."""
 
     accuracy: float
     iterations_run: int
-    converged_early: bool
+    repeated: bool  # RefineTrace.repeated of iteration iterations_run
     shot_recalls: tuple[tuple[int, float], ...]  # (class shot, class recall)
 
 
@@ -145,8 +145,7 @@ def _trajectory(
     ds: EmbeddingDataset, sampler_cfg: SamplerConfig, refine_cfg: RefineConfig, index: int
 ) -> list[EpisodeOutcome]:
     """Per-iteration outcomes of one refinement run: item t-1 is the outcome
-    had it stopped after iteration t, with ``converged_early`` True iff
-    iteration t repeats the labels of t-1 (t = 1: iff no query rows)."""
+    had it stopped after iteration t, with the trace's repeat flag for t."""
     try:
         task = sample_task(ds, sampler_cfg, index)
         # Embeddings near the float64 limit overflow the class scatter, which
@@ -157,29 +156,15 @@ def _trajectory(
         raise EpisodeFailure(index, exc) from exc
     shots = task.class_counts()
     per_class = np.bincount(task.truth, minlength=task.way)
-    history = trace.labels_per_iteration
     steps = []
-    for t, labels in enumerate(history, 1):
+    for t, (labels, repeated) in enumerate(zip(trace.labels_per_iteration, trace.repeated), 1):
         hits = labels == task.truth
         class_hits = np.bincount(task.truth, weights=hits, minlength=task.way)
         recalls = tuple(
             (int(shots[k]), float(class_hits[k] / per_class[k])) for k in np.flatnonzero(per_class)
         )
-        stable = task.n_query == 0 or (t > 1 and np.array_equal(labels, history[t - 2]))
-        steps.append(EpisodeOutcome(float(np.mean(hits)), t, stable, recalls))
+        steps.append(EpisodeOutcome(float(np.mean(hits)), t, repeated, recalls))
     return steps
-
-
-def _stop(steps: list[EpisodeOutcome], cfg: RefineConfig) -> EpisodeOutcome:
-    """The outcome of ``refine`` under ``cfg``, read off the steps of a run
-    that went at least as far, by ``refine``'s own stop rule."""
-    reached = steps[: cfg.max_steps]
-    for o in reached:
-        if _stops(o.iterations_run, o.converged_early, cfg.min_steps):
-            return o
-    # Its labels do not repeat: at max_steps >= min_steps a repeat stops, and a
-    # trajectory cut short stopped there under a min_steps no smaller than cfg's.
-    return reached[-1]
 
 
 # Set once per pool worker, so the dataset is not pickled into every job.
@@ -301,7 +286,7 @@ def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> Eva
         ci95=ci95,
         recall_bins=recall_bins,
         iteration_histogram=histogram,
-        converged_early_rate=float(np.mean([o.converged_early for o in outcomes])),
+        converged_early_rate=float(np.mean([o.repeated for o in outcomes])),
         method=method,
         config=config,
     )
@@ -329,7 +314,8 @@ def _cell(
         **echo,
         "shot_bin_max": SHOT_BIN_MAX,
     }
-    return _aggregate([_stop(s, refine_cfg) for s in steps], method, config)
+    picked = [s[_stop_at([o.repeated for o in s], refine_cfg) - 1] for s in steps]
+    return _aggregate(picked, method, config)
 
 
 def evaluate(

@@ -57,16 +57,24 @@ class RefineTrace:
     """Everything a caller can ask about one refinement run.
 
     ``labels_per_iteration[i]`` holds the hard query labels after
-    iteration i+1. ``converged_early`` is True iff the loop stopped
-    because labels stabilized, or at once because the task has no query
-    rows; False when it ran into the ``max_steps`` cap.
+    iteration i+1, and ``repeated[i]`` whether they repeat those of
+    iteration i (for i = 0: whether the task has no query rows).
     """
 
-    iterations_run: int
     labels_per_iteration: list[np.ndarray]
-    converged_early: bool
+    repeated: list[bool]
     final_resp: Responsibilities
     final_params: list[ClassParams]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.labels_per_iteration)
+
+    @property
+    def converged_early(self) -> bool:
+        """True iff a repeat stopped the run, False iff the ``max_steps`` cap did:
+        a repeat at the cap stops it, as the cap is >= max(1, min_steps)."""
+        return self.repeated[-1]
 
 
 def _stops(t: int, repeated: bool, min_steps: int) -> bool:
@@ -76,9 +84,16 @@ def _stops(t: int, repeated: bool, min_steps: int) -> bool:
     return repeated and (t == 1 or t >= min_steps)
 
 
+def _stop_at(repeated: list[bool], cfg: RefineConfig) -> int:
+    """Where ``refine`` under ``cfg`` stops, given the flags of a run that went at least as far."""
+    stops = (t for t, flag in enumerate(repeated, 1) if _stops(t, flag, cfg.min_steps))
+    return min(next(stops, len(repeated)), cfg.max_steps)
+
+
 def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
     """Run the refinement loop on one task and return its full trace."""
     history: list[np.ndarray] = []
+    repeated: list[bool] = []
     for t in range(1, cfg.max_steps + 1):
         if t == 1:
             params, _ = estimate_unweighted(task, cfg.beta)
@@ -92,11 +107,10 @@ def refine(task: Task, cfg: RefineConfig) -> RefineTrace:
         history.append(argmax_labels(probs))
         # With no query rows, weighted estimation over the one-hot support
         # rows would reproduce the first estimate verbatim, forever.
-        repeated = task.n_query == 0 or (t > 1 and np.array_equal(history[-1], history[-2]))
-        converged = _stops(t, repeated, cfg.min_steps)
-        if converged:
+        repeated.append(task.n_query == 0 or (t > 1 and np.array_equal(history[-1], history[-2])))
+        if _stops(t, repeated[-1], cfg.min_steps):
             break
-    return RefineTrace(t, history, converged, resp, params)
+    return RefineTrace(history, repeated, resp, params)
 
 
 def classify_task(task: Task, cfg: RefineConfig) -> np.ndarray:

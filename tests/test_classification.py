@@ -131,7 +131,10 @@ class TestGmmRule:
             AssignmentRule("nearest")
         with pytest.raises(ValueError, match="1-d simplex"):
             AssignmentRule("gmm", prior=[[0.5, 0.5]])
-        for prior in ((np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5), (1.5, -np.inf)):
+        for prior in (
+            (np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5), (1.5, -np.inf), (1.0, 0.0),
+            (0.5, 0.5, 0.0),
+        ):
             with pytest.raises(ValueError):
                 AssignmentRule("gmm", prior=prior)
 

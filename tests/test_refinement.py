@@ -8,10 +8,15 @@ from mahashot import (
     classify_many,
     classify_task,
     estimate_unweighted,
+    generate_synthetic,
+    mahalanobis_sq_many,
     refine,
+    sample_fixed,
 )
+from mahashot.refinement import _stop_at
 from conftest import make_task, without_query
 from oracles import straight_line_refine
+from test_acceptance import BENCH_SAMPLER, BENCH_SPEC  # c07's dataset and sampler
 
 BASELINE = RefineConfig(min_steps=0, max_steps=1)
 
@@ -193,6 +198,94 @@ class TestClassRelabelEquivariance:
             stops.add((t1.iterations_run, t1.converged_early))
         assert checked >= 20
         assert len(stops) > 1  # the tasks do not all stop the same way
+
+
+def recomputed_repeats(task, labels_per_iteration):
+    """Each iteration's repeat flag recomputed from the labels: its labels
+    equal those of the iteration before, or the task has no query rows."""
+    return [
+        task.n_query == 0 or (t > 1 and np.array_equal(labels, labels_per_iteration[t - 2]))
+        for t, labels in enumerate(labels_per_iteration, 1)
+    ]
+
+
+# c09's step grid, each min clamped to its max as ablation cells clamp it.
+C09_GRID = list(dict.fromkeys((min(mn, mx), mx) for mn in range(5) for mx in range(1, 11)))
+
+
+class TestStopReplay:
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_stop_at_picks_the_stop_of_refine_at_every_grid_cell(self, rule, beta):
+        tasks = [
+            make_task(np.random.default_rng(seed), way=4, d=5, queries=16, spread=1.5)
+            for seed in range(12)
+        ]
+        tasks.append(without_query(tasks[0]))
+        longest = RefineConfig(4, 10, rule, beta)
+        stops = set()
+        for task in tasks:
+            run = refine(task, longest)
+            assert run.repeated == recomputed_repeats(task, run.labels_per_iteration)
+            for mn, mx in C09_GRID:
+                cfg = RefineConfig(mn, mx, rule, beta)
+                trace = refine(task, cfg)
+                assert trace.repeated == recomputed_repeats(task, trace.labels_per_iteration)
+                t = _stop_at(run.repeated, cfg)
+                assert trace.iterations_run == t
+                assert trace.converged_early == run.repeated[t - 1]
+                np.testing.assert_array_equal(
+                    trace.labels_per_iteration[-1], run.labels_per_iteration[t - 1]
+                )
+                stops.add((t, trace.converged_early))
+        # Runs stop on a repeat and at the cap, at more than one iteration.
+        assert {converged for _, converged in stops} == {True, False}
+        assert len({t for t, _ in stops}) > 2
+
+
+def shifted(task, offset):
+    return Task(
+        support_z=task.support_z + offset,
+        support_y=task.support_y,
+        query_z=task.query_z + offset,
+        truth=task.truth,
+        way=task.way,
+    )
+
+
+def query_distances(trace, task):
+    """(queries, classes) squared Mahalanobis distances under the final parameters."""
+    return np.stack(
+        [mahalanobis_sq_many(p.q_factor, task.query_z, p.mu) for p in trace.final_params], axis=1
+    )
+
+
+class TestTranslationInvariance:
+    # Shifted means are exact only to the offset's rounding, so the check is
+    # not bitwise. At beta = 0 the first iteration factorizes singular 1-shot
+    # class covariances with jitter, which turns that rounding into a relative
+    # error of up to about 1e-4 in the distances at any offset.
+    @pytest.mark.parametrize(("beta", "rtol"), [(1.0, 1e-6), (0.0, 1e-3)])
+    def test_shifting_every_row_keeps_labels_and_distances(self, beta, rtol):
+        ds = generate_synthetic(BENCH_SPEC)
+        cfg = RefineConfig(2, 4, beta=beta)
+        direction = np.random.default_rng(1).standard_normal(BENCH_SPEC.dim)
+        direction /= np.linalg.norm(direction)
+        tasks = [sample_fixed(ds, BENCH_SAMPLER, i) for i in range(100)]
+        # Below this margin a shifted argmax may turn on rounding.
+        checked = [task for task in tasks if _smallest_margin(task, cfg) >= 1e-4]
+        assert len(checked) >= 0.9 * len(tasks)
+        for task in checked:
+            base = refine(task, cfg)
+            for offset in (1e2, 1e4, 1e6):
+                moved = shifted(task, offset * direction)
+                trace = refine(moved, cfg)
+                assert trace.iterations_run == base.iterations_run
+                for a, b in zip(base.labels_per_iteration, trace.labels_per_iteration):
+                    np.testing.assert_array_equal(b, a)
+                np.testing.assert_allclose(
+                    query_distances(trace, moved), query_distances(base, task), rtol=rtol
+                )
 
 
 class TestClassifyTask:

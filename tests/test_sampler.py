@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mahashot import (
@@ -28,15 +30,19 @@ def big_ds():
     )
 
 
-def tagged_dataset(n_classes=8, per_class=30, d=3):
-    """Every embedding globally unique, so instances can be tracked by value."""
+def tagged_dataset(n_classes=8, per_class=30, d=3, counts=None):
+    """Every embedding globally unique, so instances can be tracked by value.
+    ``counts``, if given, is each class's example count in place of the
+    first two arguments."""
+    if counts is None:
+        counts = [per_class] * n_classes
     classes = {}
     counter = 0.0
-    for c in range(n_classes):
-        rows = np.zeros((per_class, d))
-        rows[:, 0] = np.arange(per_class) + counter
+    for c, n in enumerate(counts):
+        rows = np.zeros((n, d))
+        rows[:, 0] = np.arange(n) + counter
         rows[:, 1] = c
-        counter += per_class
+        counter += n
         classes[f"c{c}"] = rows
     return EmbeddingDataset(classes=classes)
 
@@ -230,3 +236,89 @@ class TestVariableSampler:
         with pytest.raises(InvalidSpec, match="unknown sampler config type SimpleNamespace"):
             sample_task(big_ds, SimpleNamespace(seed=0), 0)
 
+
+
+# Derandomized and without an example database: the same examples every run.
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+CLASS_COUNTS = st.lists(st.integers(1, 40), min_size=1, max_size=12)
+SEEDS = st.integers(0, 2**63)
+INDICES = st.integers(0, 10**9)
+
+
+@st.composite
+def variable_configs(draw):
+    way_min = draw(st.integers(1, 8))
+    shot_min = draw(st.integers(1, 10))
+    return VariableSamplerConfig(
+        way_min=way_min,
+        way_max=draw(st.integers(way_min, 16)),
+        shot_min=shot_min,
+        shot_max=draw(st.integers(shot_min, 60)),
+        query_per_class=draw(st.integers(1, 15)),
+        # Caps near the way make the rescale floor every class at one shot.
+        support_cap=draw(st.integers(1, 120) | st.integers(1, 16)),
+        seed=draw(SEEDS),
+    )
+
+
+@st.composite
+def fixed_configs(draw):
+    return FixedSamplerConfig(
+        way=draw(st.integers(2, 6)),
+        shot=draw(st.integers(1, 5)),
+        query_per_class=draw(st.integers(1, 10)),
+        seed=draw(SEEDS),
+    )
+
+
+def assert_disjoint_and_redrawn(ds, cfg, index, task):
+    """Every row is drawn once, support and query share none, rows carry
+    their class, and the same (seed, index) redraws the task bitwise."""
+    tags = np.concatenate([task.support_z[:, 0], task.query_z[:, 0]])
+    assert np.unique(tags).size == tags.size
+    assert_rows_carry_their_class(task)
+    again = sample_task(ds, cfg, index)
+    for name in ("support_z", "support_y", "query_z", "truth"):
+        assert getattr(again, name).tobytes() == getattr(task, name).tobytes()
+    assert again.class_names == task.class_names
+
+
+class TestSamplerProperties:
+    @PROPERTY_SETTINGS
+    @given(counts=CLASS_COUNTS, cfg=variable_configs(), index=INDICES)
+    def test_variable_episode_bounds(self, counts, cfg, index):
+        ds = tagged_dataset(counts=counts)
+        try:
+            task = sample_variable(ds, cfg, index)
+        except InsufficientClasses:
+            assert len(counts) < cfg.way_min
+            return
+        except InsufficientExamples:
+            # A drawn class has one example, or the cap cannot hold one a class.
+            assert min(counts) < 2 or cfg.support_cap < min(cfg.way_max, len(counts))
+            return
+        assert cfg.way_min <= task.way <= min(cfg.way_max, len(counts))
+        shots = task.class_counts()
+        assert shots.min() >= 1
+        assert shots.sum() <= cfg.support_cap
+        queries = np.bincount(task.truth, minlength=task.way)
+        assert 1 <= queries.min() and queries.max() <= cfg.query_per_class
+        assert_disjoint_and_redrawn(ds, cfg, index, task)
+
+    @PROPERTY_SETTINGS
+    @given(counts=CLASS_COUNTS, cfg=fixed_configs(), index=INDICES)
+    def test_fixed_episode_bounds(self, counts, cfg, index):
+        ds = tagged_dataset(counts=counts)
+        try:
+            task = sample_fixed(ds, cfg, index)
+        except InsufficientClasses:
+            assert len(counts) < cfg.way
+            return
+        except InsufficientExamples:
+            assert min(counts) < cfg.shot + cfg.query_per_class
+            return
+        assert task.way == cfg.way
+        np.testing.assert_array_equal(task.class_counts(), np.full(cfg.way, cfg.shot))
+        queries = np.bincount(task.truth, minlength=task.way)
+        np.testing.assert_array_equal(queries, np.full(cfg.way, cfg.query_per_class))
+        assert_disjoint_and_redrawn(ds, cfg, index, task)
