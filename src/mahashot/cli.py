@@ -16,6 +16,7 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -188,6 +189,9 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest() else 1
 
 
+# Built once per process: building takes about ten times as long as a parse,
+# and parse_args leaves the parser as it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mahashot",

@@ -11,7 +11,12 @@ every cell and differences are attributable to the method config alone.
 The min/max step bounds only decide where refinement stops, so each
 (rule, query count, repeat, episode) is sampled and refined once, far
 enough for every cell, and each cell reads its stopping point off that
-trajectory. At ``parallelism`` N a call runs its episodes in at most N
+trajectory. Reports are reduced once per stream, one (rule, query count)
+run of episodes: cells that stop every episode at the same step share one
+aggregate, and each cell gets its own method and config echo.
+``evaluate`` is the one-cell case of the same reduce.
+
+At ``parallelism`` N a call runs its episodes in at most N
 processes: its own, which runs the last share, and at most N - 1 worker
 processes started for the call. Each worker runs one contiguous share of
 the head of the job list, fixed when it starts, and sends its results back
@@ -292,30 +297,46 @@ def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> Eva
     )
 
 
-def _cell(
-    steps: list[list[EpisodeOutcome]],
-    sampler_cfg: SamplerConfig,
-    refine_cfg: RefineConfig,
-    method: str,
-    **echo,
-) -> EvalReport:
-    """The report of ``refine_cfg`` over episodes' steps. Its config echo
-    holds the sampler, the refine config, then ``echo`` in order."""
-    rule = refine_cfg.rule
-    config = {
-        "sampler": dataclasses.asdict(sampler_cfg),
-        "refine": {
-            "min_steps": refine_cfg.min_steps,
-            "max_steps": refine_cfg.max_steps,
-            "rule": rule.kind,
-            "prior": list(rule.prior) if rule.prior is not None else None,
-            "beta": refine_cfg.beta,
-        },
-        **echo,
-        "shot_bin_max": SHOT_BIN_MAX,
-    }
-    picked = [s[_stop_at([o.repeated for o in s], refine_cfg) - 1] for s in steps]
-    return _aggregate(picked, method, config)
+def _reporter(steps: list[list[EpisodeOutcome]], sampler_cfg: SamplerConfig, **echo):
+    """Report maker for one stream: one sampler config's episodes' steps.
+
+    ``report(refine_cfg, method)`` is the report of ``refine_cfg`` over the
+    steps. Cells that stop every episode at the same step share one
+    aggregate; each report still gets its own mutable parts, and a config
+    echo of the sampler, the refine config, then ``echo`` in order.
+    """
+    sampler = dataclasses.asdict(sampler_cfg)
+    flags = [[o.repeated for o in s] for s in steps]
+    shared: dict[tuple[int, ...], EvalReport] = {}
+
+    def report(refine_cfg: RefineConfig, method: str) -> EvalReport:
+        stops = tuple(_stop_at(f, refine_cfg) for f in flags)
+        if stops not in shared:
+            picked = [s[t - 1] for s, t in zip(steps, stops)]
+            shared[stops] = _aggregate(picked, "", {})
+        stats = shared[stops]
+        rule = refine_cfg.rule
+        config = {
+            "sampler": dict(sampler),
+            "refine": {
+                "min_steps": refine_cfg.min_steps,
+                "max_steps": refine_cfg.max_steps,
+                "rule": rule.kind,
+                "prior": list(rule.prior) if rule.prior is not None else None,
+                "beta": refine_cfg.beta,
+            },
+            **echo,
+            "shot_bin_max": SHOT_BIN_MAX,
+        }
+        return dataclasses.replace(
+            stats,
+            recall_bins=dict(stats.recall_bins),
+            iteration_histogram=dict(stats.iteration_histogram),
+            method=method,
+            config=config,
+        )
+
+    return report
 
 
 def evaluate(
@@ -336,7 +357,7 @@ def evaluate(
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     steps = _trajectories(ds, [(sampler_cfg, refine_cfg)], n_episodes, parallelism)
     method = f"{refine_cfg.rule.kind}(min={refine_cfg.min_steps},max={refine_cfg.max_steps})"
-    return _cell(steps, sampler_cfg, refine_cfg, method, episodes=n_episodes)
+    return _reporter(steps, sampler_cfg, episodes=n_episodes)(refine_cfg, method)
 
 
 def run_ablation(
@@ -375,20 +396,23 @@ def run_ablation(
     ]
     steps = _trajectories(ds, runs, spec.episodes, parallelism)
     n = spec.repeats * spec.episodes
-    pooled = {stream: steps[i * n : (i + 1) * n] for i, stream in enumerate(streams)}
-
-    cells = []
-    for mn, mx, rule_kind, qpc, refine_cfg in grid:
-        report = _cell(
-            pooled[rule_kind, qpc],
+    reporters = {
+        (rule_kind, qpc): _reporter(
+            steps[i * n : (i + 1) * n],
             dataclasses.replace(sampler_cfg, query_per_class=qpc),
-            refine_cfg,
-            f"{rule_kind}(min={mn},max={mx},q={qpc})",
             episodes=spec.episodes,
             repeats=spec.repeats,
             seed=spec.seed,
         )
-        cells.append(GridCell(mn, mx, rule_kind, qpc, report))
+        for i, (rule_kind, qpc) in enumerate(streams)
+    }
+    cells = [
+        GridCell(
+            mn, mx, rule_kind, qpc,
+            reporters[rule_kind, qpc](refine_cfg, f"{rule_kind}(min={mn},max={mx},q={qpc})"),
+        )
+        for mn, mx, rule_kind, qpc, refine_cfg in grid
+    ]
     return AblationGrid(axes=dataclasses.asdict(spec), cells=tuple(cells))
 
 

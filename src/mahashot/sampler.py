@@ -25,6 +25,13 @@ from .data import EmbeddingDataset, Task
 from .errors import InsufficientClasses, InsufficientExamples, InvalidSpec
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidSpec("seed must be nonnegative")
+    if seed >= 2**128:  # the width of a Philox key
+        raise InvalidSpec(f"seed must be below 2**128, got {seed}")
+
+
 @dataclass(frozen=True)
 class VariableSamplerConfig:
     way_min: int = 5
@@ -42,8 +49,7 @@ class VariableSamplerConfig:
             raise InvalidSpec("need 1 <= shot_min <= shot_max")
         if self.query_per_class < 1 or self.support_cap < 1:
             raise InvalidSpec("query_per_class and support_cap must be positive")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be nonnegative")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,7 @@ class FixedSamplerConfig:
             raise InvalidSpec(f"shot must be >= 1, got {self.shot}")
         if self.query_per_class < 1:
             raise InvalidSpec("query_per_class must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be nonnegative")
+        _check_seed(self.seed)
 
 
 def episode_rng(seed: int, index: int) -> np.random.Generator:

@@ -3,6 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import mahashot.harness as harness
 from mahashot import Task
 
 
@@ -64,3 +65,12 @@ def start_method(request):
         yield method
     finally:
         multiprocessing.set_start_method(before, force=True)
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """One entry per call of the harness's ``refine``."""
+    calls = []
+    real = harness.refine
+    monkeypatch.setattr(harness, "refine", lambda *args: calls.append(args) or real(*args))
+    return calls

@@ -255,6 +255,34 @@ def test_stdout_report_is_the_out_file(dataset_path, tmp_path, capsys, argv):
     assert capsys.readouterr().out == out.read_text()
 
 
+def test_parser_is_built_once_and_keeps_nothing_between_calls(dataset_path, capsys):
+    common = ["--dataset", str(dataset_path), "--sampler", "fixed", "--way", "3",
+              "--shot", "2", "--episodes", "3"]
+    calls = [
+        ["eval", *common, "--seed", "5"],
+        ["eval", *common],  # back to the default seed
+        ["ablate", *common, "--max-steps", "1,4", "--repeats", "1", "--format", "csv"],
+        ["eval", *common, "--seed", "5"],
+    ]
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    # Each command's bytes from a parser built for it alone ...
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    # ... equal those from one parser that every call shares.
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert cli.build_parser() is parser
+    assert json.loads(fresh[1])["config"]["sampler"]["seed"] == 0
+    assert fresh[3] == fresh[0] != fresh[1]
+
+
 class TestAblate:
     def test_grid_csv(self, dataset_path, tmp_path):
         out = tmp_path / "grid.csv"
@@ -434,6 +462,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: episode 0 failed: embedding scatter overflows float64\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--seed", str(2**128)],
+            # Repeat 1 runs at seed 2**128: every repeat's config is built
+            # before repeat 0's first episode.
+            ["ablate", "--seed", str(2**128 - 1), "--repeats", "2", "--max-steps", "1,4"],
+        ],
+        ids=["eval", "ablate"],
+    )
+    def test_seed_beyond_a_philox_key_is_config_error(
+        self, dataset_path, tmp_path, capsys, refine_calls, argv
+    ):
+        rc = main([*argv, "--dataset", str(dataset_path), "--sampler", "fixed", "--way", "3",
+                   "--shot", "2", "--episodes", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: seed must be below 2**128, got {2**128}\n"
+        assert refine_calls == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     def test_failing_episode_in_pool_is_data_error(self, tmp_path, capsys, command):

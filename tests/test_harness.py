@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -197,15 +198,6 @@ class TestEvaluate:
             evaluate(small_ds, FIXED, REFINE, n_episodes=0)
 
 
-@pytest.fixture
-def refine_calls(monkeypatch):
-    """One entry per call of the harness's ``refine``."""
-    calls = []
-    real = harness.refine
-    monkeypatch.setattr(harness, "refine", lambda *args: calls.append(args) or real(*args))
-    return calls
-
-
 class TestAblation:
     def test_single_cell_equals_direct_evaluate(self, small_ds):
         spec = AblationSpec(
@@ -350,6 +342,49 @@ class TestTrajectoryDerivation:
         for cell in grid.cells:
             assert cell.report.iteration_histogram == {1: n}
             assert cell.report.converged_early_rate == 1.0
+
+
+# sha256 of the report GOLDEN_ABLATE writes, recorded before cells that stop
+# every episode at the same step began to share one aggregate.
+GOLDEN_SHA256 = "9910ed282831c663ed2934af35683a65fc1e4c23389fe967dc941fb85d6354b2"
+
+# Both rules, two query counts, beta 0 (jittered first iterations), two
+# repeats and clamped min > max cells.
+GOLDEN_ABLATE = [
+    "ablate", "--sampler", "fixed", "--way", "3", "--shot", "2",
+    "--rule", "mahalanobis-softmax,gmm", "--query-per-class", "5,9", "--beta", "0",
+    "--min-steps", "0,2,5", "--max-steps", "1,3,7", "--episodes", "4", "--repeats", "2",
+    "--seed", "21", "--format", "json",
+]
+
+
+class TestReduce:
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_ablate_report_keeps_its_bytes(self, small_ds, tmp_path, parallelism):
+        path, out = tmp_path / "ds.emb", tmp_path / "grid.json"
+        write_dataset(small_ds, path, "packed-binary")
+        argv = [*GOLDEN_ABLATE, "--dataset", str(path), "--parallelism", parallelism]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    def test_cells_share_no_mutable_part(self, small_ds):
+        grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC)
+        stops = [
+            (c.rule, c.query_per_class, c.report.per_episode_accuracy, c.report.iteration_histogram)
+            for c in grid.cells
+        ]
+        # The case the check is for: cells whose stops, and so statistics, agree.
+        assert len(set(map(repr, stops))) < len(stops)
+        before = [render_report(c.report, "json") for c in grid.cells]
+        for victim in range(len(grid.cells)):
+            report = grid.cells[victim].report
+            report.config["sampler"]["seed"] = -1
+            report.config["refine"]["min_steps"] = -1
+            report.config["episodes"] = -1
+            report.recall_bins.clear()
+            report.iteration_histogram.clear()
+            after = [render_report(c.report, "json") for c in grid.cells]
+            assert after[victim + 1 :] == before[victim + 1 :]
 
 
 @pytest.fixture

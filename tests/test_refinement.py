@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mahashot.estimation as estimation
+
 from mahashot import (
     AssignmentRule,
     RefineConfig,
@@ -286,6 +288,92 @@ class TestTranslationInvariance:
                 np.testing.assert_allclose(
                     query_distances(trace, moved), query_distances(base, task), rtol=rtol
                 )
+
+
+def mapped(task, a, b):
+    """The task with every row z replaced by a z + b."""
+    return Task(
+        support_z=task.support_z @ a.T + b,
+        support_y=task.support_y,
+        query_z=task.query_z @ a.T + b,
+        truth=task.truth,
+        way=task.way,
+    )
+
+
+@pytest.fixture
+def jitters(monkeypatch):
+    """The jitter of every class the estimator factorized through its
+    jitter fallback."""
+    seen = []
+    real = estimation.spd_factorize
+
+    def spy(q):
+        factor = real(q)
+        seen.append(factor.jitter)
+        return factor
+
+    monkeypatch.setattr(estimation, "spd_factorize", spy)
+    return seen
+
+
+class TestAffineEquivariance:
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_full_rank_classes_are_equivariant_under_affine_maps(self, rule, jitters):
+        # With more shots than dimensions, every class covariance is full
+        # rank, so at beta = 0 nothing jitters and a z + b maps each Q_k to
+        # a Q_k a^T: distances, and so every iteration, are unchanged.
+        cfg = RefineConfig(min_steps=2, max_steps=6, rule=rule, beta=0.0)
+        checked, stops = 0, set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            d = 5
+            shots = [int(s) for s in rng.integers(d + 1, d + 4, size=4)]
+            task = make_task(rng, way=4, shots=shots, d=d, queries=16, spread=1.5)
+            q_mat, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a = q_mat @ np.diag(rng.uniform(0.5, 2.0, size=d))
+            b = 3.0 * rng.standard_normal(d)
+            # Below this margin a mapped argmax may turn on rounding.
+            if _smallest_margin(task, cfg) < 1e-6:
+                continue
+            t1, t2 = refine(task, cfg), refine(mapped(task, a, b), cfg)
+            assert t2.iterations_run == t1.iterations_run
+            assert t2.converged_early == t1.converged_early
+            for x, y in zip(t1.labels_per_iteration, t2.labels_per_iteration):
+                np.testing.assert_array_equal(y, x)
+            # Measured: at most 8e-14.
+            np.testing.assert_allclose(t2.final_resp.query, t1.final_resp.query, rtol=0, atol=1e-9)
+            checked += 1
+            stops.add(t1.iterations_run)
+        assert checked >= 27
+        assert len(stops) > 1
+        assert jitters == []
+
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_one_shot_labels_are_equivariant_under_similarity_maps(self, rule, jitters):
+        # c07's 1-shot tasks: every class covariance is singular, so the
+        # first iteration factorizes Q_k + 1e-8 I. An isotropic jitter maps
+        # onto itself, rescaled, only under rotations, uniform scalings and
+        # shifts; under a general affine map it weighs the null directions
+        # of the mapped Q_k differently, and on these tasks the first
+        # iteration's labels then differ in all of them. Later iterations
+        # fold the queries in, are full rank and do not jitter.
+        ds = generate_synthetic(BENCH_SPEC)
+        cfg = RefineConfig(2, 4, rule, beta=0.0)
+        tasks = [sample_fixed(ds, BENCH_SAMPLER, i) for i in range(60)]
+        # Below this margin the rescaled jitter may turn an argmax.
+        checked = [task for task in tasks if _smallest_margin(task, cfg) >= 1e-4]
+        assert len(checked) >= 0.9 * len(tasks)
+        rng = np.random.default_rng(7)
+        for task in checked:
+            q_mat, _ = np.linalg.qr(rng.standard_normal((task.dim, task.dim)))
+            a = rng.uniform(0.5, 2.0) * q_mat
+            b = 3.0 * rng.standard_normal(task.dim)
+            t1, t2 = refine(task, cfg), refine(mapped(task, a, b), cfg)
+            assert t2.iterations_run == t1.iterations_run
+            for x, y in zip(t1.labels_per_iteration, t2.labels_per_iteration):
+                np.testing.assert_array_equal(y, x)
+        assert set(jitters) == {1e-8}
 
 
 class TestClassifyTask:

@@ -225,6 +225,19 @@ class TestVariableSampler:
                 cls(**fields)
 
     @pytest.mark.parametrize(
+        "cls, fields",
+        [(VariableSamplerConfig, {}), (FixedSamplerConfig, {"way": 5, "shot": 1})],
+        ids=["variable", "fixed"],
+    )
+    def test_seed_must_fit_a_philox_key(self, big_ds, cls, fields):
+        # Philox takes a 128-bit key: the largest seed draws episodes, and
+        # the next is a config error, not numpy's error inside an episode.
+        sample_task(big_ds, cls(**fields, seed=2**128 - 1), 0)
+        for seed in (2**128, 2**200):
+            with pytest.raises(InvalidSpec, match=r"seed must be below 2\*\*128"):
+                cls(**fields, seed=seed)
+
+    @pytest.mark.parametrize(
         "cfg", [VariableSamplerConfig(), FixedSamplerConfig(way=5, shot=1)], ids=["variable", "fixed"]
     )
     def test_negative_episode_index(self, big_ds, cfg):
