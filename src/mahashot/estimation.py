@@ -165,8 +165,10 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         centered_b = zb - mu[:, None, :]
         sigma_k = (centered_b * wb[..., None]).transpose(0, 2, 1) @ centered_b / count[..., None]
         lam = (count / (count + 1.0))[..., None]
-        q = lam * sigma_k + (1.0 - lam) * sigma + ridge
-        q = 0.5 * (q + q.transpose(0, 2, 1))  # kill rounding asymmetry from the matmuls
+        q = lam * sigma_k + (1.0 - lam) * sigma
+        # Symmetrize (kill rounding asymmetry from the matmuls) before adding the
+        # diagonal ridge, so that q + q.T cannot overflow at any finite beta.
+        q = 0.5 * (q + q.transpose(0, 2, 1)) + ridge
         stacked = _factorize_stack(q)
         if stacked is None:  # some class needs jitter, or q is not finite
             # Rows, weights and beta are finite, so only the scatter overflowed.

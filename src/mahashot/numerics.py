@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -34,6 +36,31 @@ from .errors import (
 DEFAULT_JITTER = (0.0, 1e-8, 1e-6, 1e-4)
 
 SYMMETRY_ATOL = 1e-8
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file alone.
+
+    ``scipy.linalg.lapack`` would run ``scipy/linalg/__init__.py`` first,
+    which imports 334 modules besides numpy's (scipy 1.17) for the one
+    routine used here. This loads the same extension, linked to the same
+    scipy-bundled OpenBLAS. The top-level ``scipy`` package is imported
+    first: it is light, and on Windows it makes that OpenBLAS findable.
+    """
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
+    loader = ExtensionFileLoader("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+dtrtrs = _load_flapack().dtrtrs
 
 
 @dataclass(frozen=True)
@@ -121,7 +148,8 @@ def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:
 
 
 def _solve_lower(f: SpdFactor, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve ``L x = b`` (``L.T x = b`` if transposed) as scipy's solve_triangular does."""
+    """Solve ``L x = b`` (``L.T x = b`` if transposed) as scipy's solve_triangular does:
+    the same ``dtrtrs`` call from the same extension, without scipy.linalg's import."""
     lower = f.lower
     if lower.flags.f_contiguous:
         x, info = dtrtrs(lower, b, lower=1, trans=int(transposed))

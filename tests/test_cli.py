@@ -176,6 +176,35 @@ class TestSample:
         assert not out.exists()
 
 
+def test_cli_import_leaves_out_scipy_linalg():
+    # A fresh interpreter, so that no other test has imported scipy.linalg.
+    root = str(pathlib.Path(mahashot.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import mahashot.cli\n"
+        "from mahashot import numerics\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        "from scipy.linalg import lapack\n"
+        "assert numerics.dtrtrs is lapack.dtrtrs is lapack._flapack.dtrtrs\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    # Without the extension file there is no other route: the import fails and names the folder.
+    code = (
+        "import importlib.machinery\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+        "import mahashot.cli\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ImportError: scipy's LAPACK extension _flapack is not in ")
+    assert proc.stderr.rstrip().endswith(f"{os.sep}scipy{os.sep}linalg")
+
+
 def test_text_output_is_utf8_under_an_ascii_locale(tmp_path):
     path = tmp_path / "ds.emb"
     classes = {"café": np.zeros((2, 2)), "naïve": np.ones((2, 2))}
@@ -462,6 +491,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: episode 0 failed: embedding scatter overflows float64\n"
         )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_beta_above_half_the_float64_max_runs(
+        self, dataset_path, tmp_path, capsys, command, parallelism
+    ):
+        # Finite scatters: the blend must not overflow in its 0.5 * (q + q.T).
+        rc = main([command, "--dataset", str(dataset_path), "--beta", "9e307", "--episodes", "2",
+                   "--parallelism", parallelism, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

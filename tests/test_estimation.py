@@ -451,6 +451,17 @@ class TestKernelFactorization:
             with pytest.raises(NonFiniteInput):
                 refine(huge, RefineConfig())
 
+    @pytest.mark.filterwarnings("error")
+    def test_beta_above_half_the_float64_max_is_finite(self, rng):
+        # The ridge goes on after symmetrizing, so q + q.T never sees it.
+        task = make_task(rng, way=3, shots=2, queries=6, d=4)
+        for estimate in (lambda beta: estimate_unweighted(task, beta=beta),
+                         lambda beta: estimate_weighted(task, uniform_resp(task), beta=beta)):
+            for small, big in zip(estimate(0.0)[0], estimate(9e307)[0]):
+                assert np.array_equal(big.q, small.q + 9e307 * np.eye(4))
+                assert big.q_factor.jitter == 0.0
+                assert np.isfinite(big.q_factor.logdet)
+
 
 class TestBlockMemory:
     def test_peak_of_a_50_way_d128_estimate(self, rng):

@@ -141,9 +141,10 @@ class TestTriangularSolves:
         return f, SpdFactor(lower=fortran, logdet=f.logdet, jitter=f.jitter)
 
     def test_bitwise_equal_to_solve_triangular(self, rng):
-        for d in (1, 2, 5, 16, 33):
+        # The last size is the benchmark's d = 128 episode with 500 rows.
+        for d, m in ((1, 7), (2, 7), (5, 7), (16, 7), (33, 7), (128, 500)):
             for f in self.factors(rng, d):
-                pts, center = rng.standard_normal((7, d)), rng.standard_normal(d)
+                pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
                 y = solve_triangular(f.lower, (pts - center).T, lower=True, check_finite=False)
                 assert np.array_equal(mahalanobis_sq_many(f, pts, center),
                                       np.einsum("ij,ij->j", y, y))
