@@ -43,8 +43,8 @@ rule = AssignmentRule("mahalanobis-softmax")
 for probs, want in zip(classify_many(rule, params, task.query_z), task.truth):
     print(f"query near class {want}: probs={np.round(probs, 3)} -> argmax {probs.argmax()}")
 
-# The GMM variant adds a volume term and a class prior. With unequal
-# covariances it can disagree with the plain rule.
+# The GMM variant adds a volume term under a uniform class prior. With
+# unequal covariances it can disagree with the plain rule.
 gmm = AssignmentRule("gmm")
 z = np.array([[2.0, 2.5]])
 print("plain rule:", np.round(classify_many(rule, params, z)[0], 3))

@@ -4,13 +4,12 @@ Two rules are provided:
 
 * ``mahalanobis-softmax``: softmax over negated squared Mahalanobis
   distances to each class.
-* ``gmm``: Gaussian-mixture posterior under a class prior, which adds a
-  ``-0.5 * log|Q_k|`` volume term and halves the distance term.
+* ``gmm``: Gaussian-mixture posterior under the uniform class prior, which
+  adds a ``-0.5 * log|Q_k|`` volume term and halves the distance term.
 
-When every class shares the same covariance and the prior is uniform the
-two rules agree on the argmax for every input (the extra terms are
-constant across classes and the 0.5 factor is monotone), while the
-probabilities themselves differ.
+When every class shares the same covariance the two rules agree on the
+argmax for every input (the extra terms are constant across classes and
+the 0.5 factor is monotone), while the probabilities themselves differ.
 """
 
 from __future__ import annotations
@@ -30,25 +29,13 @@ RULE_KINDS = (MAHALANOBIS_SOFTMAX, GMM)
 
 @dataclass(frozen=True)
 class AssignmentRule:
-    """Which logit construction to use, plus the class prior for ``gmm``.
-
-    ``prior=None`` under ``gmm`` means the uniform prior 1/K; it is ignored
-    under ``mahalanobis-softmax``.
-    """
+    """Which logit construction to use. ``gmm`` uses the uniform prior 1/K."""
 
     kind: str = MAHALANOBIS_SOFTMAX
-    prior: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
-        if self.prior is not None:
-            p = np.asarray(self.prior, dtype=np.float64)
-            if p.ndim != 1 or p.size == 0:
-                raise ValueError("prior must be a non-empty 1-d simplex")
-            if not (np.all(np.isfinite(p)) and p.min() > 0 and abs(p.sum() - 1.0) <= 1e-9):
-                raise ValueError("prior must be finite, positive and sum to 1")
-            object.__setattr__(self, "prior", tuple(float(x) for x in p))
 
 
 def classify_many(
@@ -72,14 +59,8 @@ def classify_many(
     if rule.kind == MAHALANOBIS_SOFTMAX:
         logits = -d2
     else:
-        if rule.prior is None:
-            log_prior = np.full(k, -np.log(k))
-        else:
-            if len(rule.prior) != k:
-                raise DimensionMismatch(
-                    f"prior has {len(rule.prior)} entries for {k} classes"
-                )
-            log_prior = np.log(np.asarray(rule.prior))
+        # Constant across classes, but it sets the logits' rounding.
+        log_prior = np.full(k, -np.log(k))
         logdets = np.array([p.q_factor.logdet for p in params])
         logits = log_prior - 0.5 * d2 - 0.5 * logdets
     return softmax_rows(logits)

@@ -42,7 +42,7 @@ import multiprocessing
 from collections import Counter
 
 # Unused here. Only perfbench's traced run reads it, to install its pool
-# hook, until that hook moves to the worker start (ROADMAP item 4).
+# hook, until that hook moves to the worker start (ROADMAP item 2).
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
@@ -176,14 +176,6 @@ def _trajectory(
 _worker_dataset: EmbeddingDataset | None = None
 
 
-def _init_worker(ds: EmbeddingDataset) -> None:
-    global _worker_dataset
-    _worker_dataset = ds
-    # A forked worker inherits the parent's single thread and sets nothing;
-    # one started afresh (spawn, forkserver) begins at the default count.
-    _pin_single_blas_thread()
-
-
 def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
     return [_trajectory(_worker_dataset, *episode) for episode in episodes]
 
@@ -191,8 +183,13 @@ def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
 def _worker(ds: EmbeddingDataset, share, conn) -> None:
     """Body of a pool worker: its share's steps, or the exception that
     stopped them, go back to the caller over the worker's own pipe."""
+    global _worker_dataset
+    _worker_dataset = ds
     try:
-        _init_worker(ds)
+        # A forked worker inherits the parent's single thread and sets
+        # nothing; one started afresh (spawn, forkserver) begins at the
+        # default count.
+        _pin_single_blas_thread()
         result = _episode_chunk(share)
     except Exception as exc:  # raised by the caller, in job order
         result = exc
@@ -263,7 +260,8 @@ def _trajectories(
     return [steps for part in parts for steps in part]
 
 
-def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> EvalReport:
+def _aggregate(outcomes: list[EpisodeOutcome]) -> EvalReport:
+    """The statistics of ``outcomes``, with a blank method and config echo."""
     acc = np.array([o.accuracy for o in outcomes])
     mean = float(acc.mean())
     ci95 = 0.0 if acc.size < 2 else float(1.96 * acc.std(ddof=1) / math.sqrt(acc.size))
@@ -292,8 +290,8 @@ def _aggregate(outcomes: list[EpisodeOutcome], method: str, config: dict) -> Eva
         recall_bins=recall_bins,
         iteration_histogram=histogram,
         converged_early_rate=float(np.mean([o.repeated for o in outcomes])),
-        method=method,
-        config=config,
+        method="",
+        config={},
     )
 
 
@@ -313,16 +311,15 @@ def _reporter(steps: list[list[EpisodeOutcome]], sampler_cfg: SamplerConfig, **e
         stops = tuple(_stop_at(f, refine_cfg) for f in flags)
         if stops not in shared:
             picked = [s[t - 1] for s, t in zip(steps, stops)]
-            shared[stops] = _aggregate(picked, "", {})
+            shared[stops] = _aggregate(picked)
         stats = shared[stops]
-        rule = refine_cfg.rule
         config = {
             "sampler": dict(sampler),
             "refine": {
                 "min_steps": refine_cfg.min_steps,
                 "max_steps": refine_cfg.max_steps,
-                "rule": rule.kind,
-                "prior": list(rule.prior) if rule.prior is not None else None,
+                "rule": refine_cfg.rule.kind,
+                "prior": None,  # gmm's prior is uniform; the key keeps the report schema
                 "beta": refine_cfg.beta,
             },
             **echo,
@@ -371,8 +368,10 @@ def run_ablation(
 
     Each cell pools ``spec.repeats`` runs seeded ``spec.seed + r``; the
     same seeds are reused in every cell, so comparisons across cells are
-    paired episode by episode. The step bounds only decide where a
-    trajectory stops, so cells that differ only in them share one.
+    paired episode by episode. ``sampler_cfg.seed`` is not used: each
+    cell's sampler echo carries ``spec.seed``, the first run's seed. The
+    step bounds only decide where a trajectory stops, so cells that differ
+    only in them share one.
     """
     # Every cell's config is built, and so validated, before any episode runs.
     grid = [
@@ -399,7 +398,7 @@ def run_ablation(
     reporters = {
         (rule_kind, qpc): _reporter(
             steps[i * n : (i + 1) * n],
-            dataclasses.replace(sampler_cfg, query_per_class=qpc),
+            dataclasses.replace(sampler_cfg, query_per_class=qpc, seed=spec.seed),
             episodes=spec.episodes,
             repeats=spec.repeats,
             seed=spec.seed,

@@ -87,11 +87,11 @@ class SpdFactor:
         return self.lower.shape[0]
 
 
-def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
-    """Factorize a symmetric matrix, escalating through a jitter schedule.
+def spd_factorize(q: np.ndarray) -> SpdFactor:
+    """Factorize a symmetric matrix, escalating through ``DEFAULT_JITTER``.
 
-    Tries Cholesky on ``q + eps * I`` for each ``eps`` in the schedule in
-    order and returns the factor for the first success.
+    Tries Cholesky on ``q + eps * I`` for each ``eps`` in ``DEFAULT_JITTER``
+    in order and returns the factor for the first success.
 
     Raises
     ------
@@ -110,7 +110,7 @@ def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
             f"matrix is asymmetric beyond {SYMMETRY_ATOL:g} absolute tolerance"
         )
     eye = np.eye(q.shape[0])
-    for eps in jitter_schedule:
+    for eps in DEFAULT_JITTER:
         try:
             lower = np.linalg.cholesky(q + eps * eye)
         except np.linalg.LinAlgError:
@@ -118,7 +118,7 @@ def spd_factorize(q: np.ndarray, jitter_schedule=DEFAULT_JITTER) -> SpdFactor:
         # dpotrf rejects a pivot <= 0 or NaN, so a factor of a finite matrix has a finite logdet.
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
         return SpdFactor(lower=lower, logdet=logdet, jitter=float(eps))
-    raise FactorizationFailed(f"Cholesky failed for all jitter values {tuple(jitter_schedule)}")
+    raise FactorizationFailed(f"Cholesky failed for all jitter values {DEFAULT_JITTER}")
 
 
 def _factorize_stack(q: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -34,6 +34,11 @@ class RefineConfig:
 
     ``min_steps=2, max_steps=4`` are the variable-way benchmark defaults;
     sweeps over both are what the ablation harness exposes.
+
+    ``beta`` is the ridge on every class matrix. Where a class matrix is
+    singular at ``beta = 0`` (fewer shots than dimensions, before queries
+    are folded in), it is factorized with ``DEFAULT_JITTER``'s 1e-8 ridge,
+    as at ``beta = 1e-8``: there ``beta = 0`` means the limit beta -> 0+.
     """
 
     min_steps: int = 2

@@ -87,8 +87,9 @@ def naive_weighted(task, w, beta=1.0):
     return mus, sigma, sigma_ks, qs, mu_task
 
 
-def naive_probs(mus, qs, z, rule="mahalanobis-softmax", prior=None):
-    """Assignment probabilities via explicit inverses and determinants."""
+def naive_probs(mus, qs, z, rule="mahalanobis-softmax"):
+    """Assignment probabilities via explicit inverses and determinants;
+    ``gmm`` under the uniform prior."""
     k_count = len(mus)
     d2 = np.array(
         [(z - mus[k]) @ np.linalg.inv(qs[k]) @ (z - mus[k]) for k in range(k_count)]
@@ -96,10 +97,8 @@ def naive_probs(mus, qs, z, rule="mahalanobis-softmax", prior=None):
     if rule == "mahalanobis-softmax":
         logits = -d2
     else:
-        if prior is None:
-            prior = np.full(k_count, 1.0 / k_count)
         logdets = np.array([np.linalg.slogdet(qs[k])[1] for k in range(k_count)])
-        logits = np.log(prior) - 0.5 * d2 - 0.5 * logdets
+        logits = np.log(1.0 / k_count) - 0.5 * d2 - 0.5 * logdets
     e = np.exp(logits - logits.max())
     return e / e.sum()
 

@@ -266,7 +266,7 @@ class TestAcceptance:
         grid = run_ablation(bench_ds, BENCH_SAMPLER, spec)
         path = tmp_path / "steps.csv"
         emit_report(grid, "csv", path)
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         full_product = len(lines) - 1 == 5 * 10 and len(grid.cells) == 50
 
         exact_steps = True

@@ -95,22 +95,8 @@ class TestGmmRule:
                 atol=1e-10,
             )
 
-    def test_nonuniform_prior(self, rng):
-        from oracles import naive_probs
-
-        mus = [[0.0, 0.0], [1.0, 1.0]]
-        qs = [np.eye(2), np.eye(2)]
-        prior = (0.9, 0.1)
-        rule = AssignmentRule("gmm", prior=prior)
-        z = np.array([0.5, 0.5])
-        np.testing.assert_allclose(
-            classify_many(rule, params_at(mus, qs), z[None])[0],
-            naive_probs([np.array(m) for m in mus], qs, z, rule="gmm", prior=np.array(prior)),
-            atol=1e-12,
-        )
-
     def test_argmax_reduction_under_shared_covariance(self, rng):
-        # equal covariances + uniform prior: log-dets and priors cancel and
+        # equal covariances: log-dets and the uniform prior cancel and
         # the 0.5 factor is monotone, so the argmax matches the softmax rule
         # even though the probabilities do not
         d, k = 4, 5
@@ -124,25 +110,9 @@ class TestGmmRule:
         differ_probs = sum(not np.allclose(a, b) for a, b in zip(p_soft, p_gmm))
         assert differ_probs > 400  # probabilities genuinely differ
 
-    def test_invalid_prior(self):
-        with pytest.raises(ValueError):
-            AssignmentRule("gmm", prior=(0.5, 0.6))
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             AssignmentRule("nearest")
-        with pytest.raises(ValueError, match="1-d simplex"):
-            AssignmentRule("gmm", prior=[[0.5, 0.5]])
-        for prior in (
-            (np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5), (1.5, -np.inf), (1.0, 0.0),
-            (0.5, 0.5, 0.0),
-        ):
-            with pytest.raises(ValueError):
-                AssignmentRule("gmm", prior=prior)
-
-    def test_prior_length_checked(self):
-        params = params_at([[0.0], [1.0]], [np.eye(1), np.eye(1)])
-        rule = AssignmentRule("gmm", prior=(0.2, 0.3, 0.5))
-        with pytest.raises(DimensionMismatch):
-            classify_many(rule, params, np.zeros((1, 1)))
 
 
 class TestArgmaxTieBreak:

@@ -112,7 +112,7 @@ class TestSample:
              "--episodes", "4", "--seed", "1", "--out", str(out)]
         )
         assert rc == 0
-        episodes = json.loads(out.read_text())
+        episodes = json.loads(out.read_text(encoding="utf-8"))
         assert len(episodes) == 4
         ep = episodes[0]
         assert ep["way"] == 3
@@ -128,7 +128,7 @@ class TestSample:
              "--episodes", "2", "--seed", "1", "--format", "csv", "--out", str(out)]
         )
         assert rc == 0
-        lines = out.read_text().strip().splitlines()
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "episode,role,label,class_name,f_0,f_1,f_2,f_3"
         assert len(lines) == 1 + 2 * (3 + 6)
 
@@ -157,7 +157,7 @@ class TestSample:
                    "--out", str(out)])
         assert rc == 0
         ds = load_dataset(dataset_path, "packed-binary")
-        episodes = json.loads(out.read_text())
+        episodes = json.loads(out.read_text(encoding="utf-8"))
         assert len(episodes) == 3
         for i, ep in enumerate(episodes):
             task = sample_task(ds, cfg, i)
@@ -217,7 +217,7 @@ def test_text_output_is_utf8_under_an_ascii_locale(tmp_path):
         [sys.executable, "-m", "mahashot.cli", "sample", "--dataset", str(path),
          "--sampler", "fixed", "--way", "2", "--shot", "1", "--query-per-class", "1",
          "--episodes", "1", "--format", "csv", "--out", str(out)],
-        env=env, capture_output=True, text=True,
+        env=env, capture_output=True, text=True, encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     text = out.read_bytes().decode("utf-8")
@@ -228,7 +228,7 @@ class TestEval:
     def test_report_roundtrip_and_exit_code(self, dataset_path, tmp_path):
         out = tmp_path / "report.json"
         assert run_eval(dataset_path, out) == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["episodes"] == 10
         assert 0.0 <= report["mean_accuracy"] <= 1.0
 
@@ -242,7 +242,7 @@ class TestEval:
     def test_csv_format(self, dataset_path, tmp_path):
         out = tmp_path / "report.csv"
         assert run_eval(dataset_path, out, extra=("--format", "csv")) == 0
-        lines = out.read_text().strip().splitlines()
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2
 
     def test_bad_sampler_config_is_config_error(self, dataset_path, tmp_path):
@@ -281,7 +281,7 @@ def test_stdout_report_is_the_out_file(dataset_path, tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()  # the one-line summary --out prints
     assert main(argv) == 0
-    assert capsys.readouterr().out == out.read_text()
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_parser_is_built_once_and_keeps_nothing_between_calls(dataset_path, capsys):
@@ -323,7 +323,7 @@ class TestAblate:
              "--seed", "2", "--format", "csv", "--out", str(out)]
         )
         assert rc == 0
-        lines = out.read_text().strip().splitlines()
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 1 + 4
 
     def test_rules_axis(self, dataset_path, tmp_path):
@@ -337,7 +337,7 @@ class TestAblate:
              "--out", str(out)]
         )
         assert rc == 0
-        grid = json.loads(out.read_text())
+        grid = json.loads(out.read_text(encoding="utf-8"))
         assert [c["rule"] for c in grid["cells"]] == ["mahalanobis-softmax", "gmm"]
 
 
@@ -355,6 +355,7 @@ class TestSelftest:
             env=env,
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout

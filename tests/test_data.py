@@ -25,7 +25,7 @@ from mahashot import (
 class TestCsvLoading:
     def test_minimal_file(self, tmp_path):
         p = tmp_path / "mini.csv"
-        p.write_text("classA,0.1,0.2\nclassA,0.3,0.4\n")
+        p.write_text("classA,0.1,0.2\nclassA,0.3,0.4\n", encoding="utf-8")
         ds = load_dataset(p, "csv")
         assert ds.dim == 2
         assert ds.n_classes == 1
@@ -33,7 +33,7 @@ class TestCsvLoading:
 
     def test_differing_row_lengths(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("a,1.0,2.0\nb,1.0\n")
+        p.write_text("a,1.0,2.0\nb,1.0\n", encoding="utf-8")
         with pytest.raises(DimensionMismatch):
             load_dataset(p, "csv")
 
@@ -47,10 +47,10 @@ class TestCsvLoading:
                 vals = rng.standard_normal(4)
                 lines.append(name + "," + ",".join(f"{v:.6f}" for v in vals))
         p = tmp_path / "birds.csv"
-        p.write_text("\n".join(lines) + "\n")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         oracle_counts = {}
-        for line in p.read_text().splitlines():
+        for line in p.read_text(encoding="utf-8").splitlines():
             oracle_counts[line.split(",")[0]] = oracle_counts.get(line.split(",")[0], 0) + 1
 
         ds = load_dataset(p, "csv")
@@ -59,7 +59,7 @@ class TestCsvLoading:
 
     def test_unparseable_float_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
-        p.write_text("a,1.0,2.0\na,1.0,oops\n")
+        p.write_text("a,1.0,2.0\na,1.0,oops\n", encoding="utf-8")
         with pytest.raises(ParseError) as info:
             load_dataset(p, "csv")
         assert info.value.line == 2
@@ -67,7 +67,7 @@ class TestCsvLoading:
     def test_row_errors_report_the_physical_line(self, tmp_path):
         # The quoted class name spans lines 1-2, so "oops" is on line 4.
         p = tmp_path / "bad.csv"
-        p.write_text('"two\nlines",1.0,2.0\na,1.0,2.0\na,1.0,oops\n')
+        p.write_text('"two\nlines",1.0,2.0\na,1.0,2.0\na,1.0,oops\n', encoding="utf-8")
         with pytest.raises(ParseError) as info:
             load_dataset(p, "csv")
         assert info.value.line == 4
@@ -89,7 +89,7 @@ class TestCsvLoading:
 
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "nan.csv"
-        p.write_text("a,1.0,nan\n")
+        p.write_text("a,1.0,nan\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_dataset(p, "csv")
 
@@ -99,12 +99,12 @@ class TestCsvLoading:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"
-        p.write_text("a,1.0,2.0\n\na,3.0,4.0\n\n")
+        p.write_text("a,1.0,2.0\n\na,3.0,4.0\n\n", encoding="utf-8")
         np.testing.assert_array_equal(load_dataset(p, "csv").classes["a"], [[1, 2], [3, 4]])
 
     def test_row_without_features(self, tmp_path):
         p = tmp_path / "bare.csv"
-        p.write_text("a,1.0,2.0\nb\n")
+        p.write_text("a,1.0,2.0\nb\n", encoding="utf-8")
         with pytest.raises(ParseError, match="no feature columns") as info:
             load_dataset(p, "csv")
         assert info.value.line == 2
@@ -112,7 +112,7 @@ class TestCsvLoading:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         for text in ["", "\n\n\r\n"]:
-            p.write_text(text, newline="")
+            p.write_text(text, newline="", encoding="utf-8")
             with pytest.raises(ParseError, match="no embedding rows") as info:
                 load_dataset(p, "csv")
             assert info.value.line is None
@@ -127,7 +127,7 @@ class TestCsvLoading:
     )
     def test_oversized_field_reports_its_line(self, tmp_path, text, line):
         p = tmp_path / "big.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match="malformed CSV") as info:
             load_dataset(p, "csv")
         assert info.value.line == line

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import time
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -53,20 +54,20 @@ class TestAggregation:
             EpisodeOutcome(acc, 1, False, ())
             for acc in [1.0, 0.0, 1.0, 1.0]
         ]
-        report = _aggregate(outcomes, "m", {})
+        report = _aggregate(outcomes)
         assert report.mean_accuracy == pytest.approx(0.75)
         # sample standard deviation is 0.5, so 1.96 * 0.5 / sqrt(4) = 0.49
         assert report.ci95 == pytest.approx(0.49)
 
     def test_single_episode_has_zero_ci(self):
-        report = _aggregate([EpisodeOutcome(0.5, 1, True, ())], "m", {})
+        report = _aggregate([EpisodeOutcome(0.5, 1, True, ())])
         assert report.ci95 == 0.0
 
     def test_recalls_add_one_at_a_time_in_episode_order(self):
         # Added left to right, 1.0 absorbs each 1e-16; a compensated sum,
         # such as sum() on Python >= 3.12, would not.
         outcomes = [EpisodeOutcome(1.0, 1, False, ((2, r),)) for r in (1.0, 1e-16, 1e-16)]
-        report = _aggregate(outcomes, "m", {})
+        report = _aggregate(outcomes)
         assert report.recall_bins == {"2": ((1.0 + 1e-16 + 1e-16) / 3, 3)}
 
     def test_recall_bins_and_histogram(self):
@@ -74,7 +75,7 @@ class TestAggregation:
             EpisodeOutcome(1.0, 2, True, ((1, 1.0), (3, 0.5))),
             EpisodeOutcome(0.5, 4, False, ((1, 0.0), (12, 1.0))),
         ]
-        report = _aggregate(outcomes, "m", {})
+        report = _aggregate(outcomes)
         assert report.recall_bins["1"] == (0.5, 2)
         assert report.recall_bins["3"] == (0.5, 1)
         assert report.recall_bins[">10"] == (1.0, 1)
@@ -186,6 +187,27 @@ class TestEvaluate:
         assert multiprocessing.active_children() == []
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_interrupt_in_callers_share_stops_every_worker(
+        self, small_ds, monkeypatch, pool_log, start_method
+    ):
+        # Six jobs at parallelism 3: two workers that would each sleep 20 s,
+        # and a caller whose own share is interrupted at once.
+        main_pid = os.getpid()
+
+        def run(*args):
+            if os.getpid() == main_pid:
+                raise KeyboardInterrupt
+            time.sleep(20)
+
+        monkeypatch.setattr(harness, "_trajectory", run)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate(small_ds, FIXED, REFINE, n_episodes=6, parallelism=3)
+        assert time.monotonic() - start < 10
+        assert len(pool_log) == 2
+        assert all(proc.exitcode is not None for proc, _ in pool_log)
+        assert multiprocessing.active_children() == []
+
     def test_episode_failure_pickles_even_when_its_cause_does_not(self):
         failure = EpisodeFailure(4, DegenerateClass(1, 0.0))
         again = pickle.loads(pickle.dumps(failure))
@@ -225,6 +247,15 @@ class TestAblation:
             n_episodes=6,
         )
         assert base.report.per_episode_accuracy == direct.per_episode_accuracy
+
+    def test_sampler_echo_carries_the_seed_episodes_ran_from(self, small_ds):
+        # Runs are seeded spec.seed + r; the caller's sampler seed is unused.
+        spec = AblationSpec(query_per_class=(5,), episodes=4, repeats=2, seed=888)
+        grid = run_ablation(small_ds, dataclasses.replace(FIXED, seed=555), spec)
+        report = grid.cells[0].report
+        assert report.config["sampler"]["seed"] == 888
+        direct = evaluate(small_ds, dataclasses.replace(FIXED, seed=888), REFINE, n_episodes=4)
+        assert report.per_episode_accuracy[:4] == direct.per_episode_accuracy
 
     def test_min_above_max_cell_clamps(self, small_ds):
         spec = AblationSpec(
@@ -301,7 +332,7 @@ def direct_grid(ds, sampler_cfg, spec):
             outcomes.append(
                 EpisodeOutcome(accuracy, trace.iterations_run, trace.converged_early, recalls)
             )
-        reports.append(_aggregate(outcomes, "", {}))
+        reports.append(_aggregate(outcomes))
     return reports
 
 
@@ -452,7 +483,7 @@ class TestPool:
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"], indirect=True)
     def test_fresh_start_workers_render_same_bytes(self, small_ds, pool_log, start_method):
-        # Workers that do not fork pin their own BLAS thread in _init_worker.
+        # Workers that do not fork pin their own BLAS thread in _worker.
         def render(parallelism):
             report = evaluate(small_ds, FIXED, REFINE, n_episodes=8, parallelism=parallelism)
             grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC, parallelism=parallelism)
@@ -526,7 +557,7 @@ class TestReportEmission:
         report = evaluate(small_ds, FIXED, REFINE, n_episodes=9)
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
-        parsed = json.loads(path.read_text())
+        parsed = json.loads(path.read_text(encoding="utf-8"))
         assert parsed["episodes"] == 9
         assert parsed["mean_accuracy"] == pytest.approx(report.mean_accuracy, abs=1e-12)
         assert parsed["ci95"] == pytest.approx(report.ci95, abs=1e-12)
@@ -552,7 +583,7 @@ class TestReportEmission:
         grid = run_ablation(small_ds, FIXED, spec)
         path = tmp_path / "grid.csv"
         emit_report(grid, "csv", path)
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "min_steps,max_steps,rule,query_per_class,mean_acc,ci95,episodes"
         assert len(lines) - 1 == 2 * 2 * 2 * 1
 
@@ -564,7 +595,7 @@ class TestReportEmission:
         grid = run_ablation(small_ds, FIXED, spec)
         path = tmp_path / "empty.csv"
         emit_report(grid, "csv", path)
-        assert path.read_text().strip().splitlines() == [
+        assert path.read_text(encoding="utf-8").strip().splitlines() == [
             "min_steps,max_steps,rule,query_per_class,mean_acc,ci95,episodes"
         ]
 
@@ -572,7 +603,7 @@ class TestReportEmission:
         report = evaluate(small_ds, FIXED, REFINE, n_episodes=4)
         path = tmp_path / "single.csv"
         emit_report(report, "csv", path)
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[:4] == ["2", "4", "mahalanobis-softmax", "5"]
 
@@ -589,7 +620,7 @@ class TestReportEmission:
         grid = run_ablation(small_ds, FIXED, spec)
         path = tmp_path / "grid.json"
         emit_report(grid, "json", path)
-        parsed = json.loads(path.read_text())
+        parsed = json.loads(path.read_text(encoding="utf-8"))
         assert parsed["axes"]["min_steps"] == [2]
         assert len(parsed["cells"]) == 1
         assert parsed["cells"][0]["report"]["episodes"] == 3

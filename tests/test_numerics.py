@@ -16,35 +16,35 @@ from mahashot import (
     solve_spd,
     spd_factorize,
 )
-from mahashot.numerics import softmax_rows
+from mahashot.numerics import DEFAULT_JITTER, softmax_rows
 from conftest import random_spd
 
 
 class TestSpdFactorize:
     def test_identity(self):
-        f = spd_factorize(np.eye(3), [0.0])
+        f = spd_factorize(np.eye(3))
         np.testing.assert_array_equal(f.lower, np.eye(3))
         assert f.logdet == 0.0
         assert f.jitter == 0.0
 
     def test_diagonal_closed_form(self):
-        f = spd_factorize(np.diag([4.0, 9.0]), [0.0])
+        f = spd_factorize(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(f.lower, np.diag([2.0, 3.0]))
         assert f.logdet == pytest.approx(math.log(36.0), abs=1e-14)
 
     def test_indefinite_needs_jitter_past_negative_eigenvalue(self):
-        q = np.array([[1.0, 2.0], [2.0, 1.0]])
-        # Oracle: direct eigendecomposition says q + eps*I is PD iff
-        # eps exceeds the magnitude of the most negative eigenvalue.
-        min_eig = np.linalg.eigvalsh(q).min()
-        assert min_eig == pytest.approx(-1.0)
-        schedule = [0.0, 1e-6, 1e-4, 1.5]
-        f = spd_factorize(q, schedule)
-        assert f.jitter == 1.5
-        assert f.jitter > -min_eig
-        # all smaller schedule entries fail outright
-        with pytest.raises(FactorizationFailed):
-            spd_factorize(q, [0.0, 1e-6, 1e-4])
+        # Oracle: q + eps*I is PD iff eps exceeds the magnitude of q's most
+        # negative eigenvalue, so a matrix with eigenvalue -eps/2 is first
+        # factorized at schedule step eps.
+        assert DEFAULT_JITTER == (0.0, 1e-8, 1e-6, 1e-4)
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for eps in DEFAULT_JITTER[1:]:
+            q = rotation @ np.diag([1.0, -eps / 2]) @ rotation.T
+            q = 0.5 * (q + q.T)
+            assert np.linalg.eigvalsh(q).min() == pytest.approx(-eps / 2)
+            f = spd_factorize(q)
+            assert f.jitter == eps
+            assert np.all(np.diag(f.lower) > 0)
 
     def test_default_schedule_fails_on_indefinite(self):
         with pytest.raises(FactorizationFailed):

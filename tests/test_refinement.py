@@ -376,6 +376,26 @@ class TestAffineEquivariance:
         assert set(jitters) == {1e-8}
 
 
+class TestBetaZeroLimit:
+    @pytest.mark.parametrize("rule", [AssignmentRule(), AssignmentRule("gmm")])
+    def test_singular_classes_at_beta_zero_match_beta_1e8(self, rule):
+        # c07's 1-shot classes are singular at iteration 1. At beta = 0 each is
+        # factorized with DEFAULT_JITTER's first nonzero step, as Q_k + 1e-8 I,
+        # which is Q_k at beta = 1e-8 bit for bit: beta = 0 is the beta -> 0+
+        # limit there. Later iterations are full rank and take no jitter.
+        ds = generate_synthetic(BENCH_SPEC)
+        for i in range(200):
+            task = sample_fixed(ds, BENCH_SAMPLER, i)
+            zero, small = (refine(task, RefineConfig(0, 1, rule, beta)) for beta in (0.0, 1e-8))
+            assert [p.q_factor.jitter for p in zero.final_params] == [1e-8] * task.way
+            assert [p.q_factor.jitter for p in small.final_params] == [0.0] * task.way
+            assert zero.final_resp.w.tobytes() == small.final_resp.w.tobytes()
+            zero, small = (refine(task, RefineConfig(2, 4, rule, beta)) for beta in (0.0, 1e-8))
+            assert zero.iterations_run == small.iterations_run
+            for a, b in zip(zero.labels_per_iteration, small.labels_per_iteration):
+                np.testing.assert_array_equal(b, a)
+
+
 class TestClassifyTask:
     def test_single_class_single_query(self):
         task = Task(

@@ -199,7 +199,7 @@ class TestThreadCountIndependence:
         proc = subprocess.run(
             [sys.executable, "-m", "mahashot.cli", "eval", "--dataset", str(path),
              "--episodes", str(D128_EPISODES)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == serial
