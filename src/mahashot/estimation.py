@@ -162,8 +162,11 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         zb = z[idx]  # (B, width, d)
         count = counts[k0:k1, None]
         mu = (wb[:, None, :] @ zb)[:, 0] / count
-        centered_b = zb - mu[:, None, :]
-        sigma_k = (centered_b * wb[..., None]).transpose(0, 2, 1) @ centered_b / count[..., None]
+        # Centre and scale the gathered rows by sqrt(w) in place: the scatter
+        # s.T @ s of one operand with itself runs as a symmetric rank-k update.
+        zb -= mu[:, None, :]
+        zb *= np.sqrt(wb)[..., None]
+        sigma_k = zb.transpose(0, 2, 1) @ zb / count[..., None]
         lam = (count / (count + 1.0))[..., None]
         q = lam * sigma_k + (1.0 - lam) * sigma
         # Symmetrize (kill rounding asymmetry from the matmuls) before adding the

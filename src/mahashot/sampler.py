@@ -49,6 +49,11 @@ class VariableSamplerConfig:
             raise InvalidSpec("need 1 <= shot_min <= shot_max")
         if self.query_per_class < 1 or self.support_cap < 1:
             raise InvalidSpec("query_per_class and support_cap must be positive")
+        if self.support_cap < self.way_min:
+            raise InvalidSpec(
+                f"support_cap {self.support_cap} cannot hold one example for each of"
+                f" way_min {self.way_min} classes"
+            )
         _check_seed(self.seed)
 
 

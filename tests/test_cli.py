@@ -186,8 +186,10 @@ def test_cli_import_leaves_out_scipy_linalg():
         "import mahashot.cli\n"
         "from mahashot import numerics\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
-        "from scipy.linalg import lapack\n"
+        "from scipy.linalg import blas, lapack\n"
         "assert numerics.dtrtrs is lapack.dtrtrs is lapack._flapack.dtrtrs\n"
+        "assert numerics.dpotrf is lapack.dpotrf is lapack._flapack.dpotrf\n"
+        "assert numerics.dtrsm is blas.dtrsm is blas._fblas.dtrsm\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           encoding="utf-8")
@@ -202,6 +204,18 @@ def test_cli_import_leaves_out_scipy_linalg():
                           encoding="utf-8")
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("ImportError: scipy's LAPACK extension _flapack is not in ")
+    assert proc.stderr.rstrip().endswith(f"{os.sep}scipy{os.sep}linalg")
+    # The BLAS extension is loaded the same way, and its absence is named too.
+    code = (
+        "import os.path\n"
+        "isfile = os.path.isfile\n"
+        "os.path.isfile = lambda path: '_fblas' not in os.path.basename(path) and isfile(path)\n"
+        "import mahashot.cli\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ImportError: scipy's BLAS extension _fblas is not in ")
     assert proc.stderr.rstrip().endswith(f"{os.sep}scipy{os.sep}linalg")
 
 
@@ -523,6 +537,20 @@ class TestExitCodes:
                    "--shot", "2", "--episodes", "3", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: seed must be below 2**128, got {2**128}\n"
+        assert refine_calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "sample"])
+    def test_support_cap_below_way_min_is_config_error(
+        self, dataset_path, tmp_path, capsys, refine_calls, command
+    ):
+        # No episode could run: the cap holds fewer examples than the fewest classes.
+        rc = main([command, "--dataset", str(dataset_path), "--way-min", "5", "--way-max", "6",
+                   "--support-cap", "3", "--episodes", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: support_cap 3 cannot hold one example for each of way_min 5 classes\n"
+        )
         assert refine_calls == []
         assert not (tmp_path / "out").exists()
 

@@ -363,6 +363,7 @@ class TestKernelFactorization:
         for p, (mu, q, sigma_k, count) in zip(params, reference, strict=True):
             for got, want in ((p.mu, mu), (p.q, q), (p.sigma_k, sigma_k)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(p.sigma_k, p.sigma_k.T)
             assert p.count == pytest.approx(count, rel=1e-12, abs=1e-12)
             f = spd_factorize(p.q)
             assert f.lower.tobytes() == p.q_factor.lower.tobytes()
@@ -412,6 +413,17 @@ class TestKernelFactorization:
         assert len(list(estimation._blocks([n + task.n_query for n in nnz], task.dim))) > 1
         for beta in (1.0, 0.0):
             self.both_estimators(rng, task, beta)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_d128_fractional_weights_in_padded_and_one_class_blocks(self, rng, beta):
+        # Every query row weighs each class fractionally. Classes 0 and 1
+        # share a block, class 0 padded to class 1's rows; class 2 runs alone.
+        task = make_task(rng, way=3, shots=[20, 60, 200], queries=100, d=128)
+        nnz = [20 + task.n_query, 60 + task.n_query, 200 + task.n_query]
+        assert list(estimation._blocks(nnz, task.dim)) == [(0, 2, 160), (2, 3, 300)]
+        jitters = self.both_estimators(rng, task, beta)
+        # Every class factorized in its stack, bit-equal to spd_factorize's factor.
+        assert jitters == [[0.0] * 3] * 2
 
     @pytest.mark.parametrize("beta", [1.0, 0.0])
     def test_unequal_rows_and_zero_weights(self, rng, beta):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import blas, solve_triangular
 
 from mahashot import (
     DimensionMismatch,
@@ -130,29 +130,62 @@ class TestMahalanobis:
 
 
 class TestTriangularSolves:
-    """The solves call LAPACK directly; scipy's ``solve_triangular`` is the
-    reference route they must match bit for bit."""
+    """The solves call BLAS and LAPACK directly. ``mahalanobis_sq_many`` must
+    match scipy's ``dtrsm`` on the same operands bit for bit; the 1-d solves
+    must match ``solve_triangular``, the route they share with scipy."""
 
     @staticmethod
     def factors(rng, d):
+        """The same factor, C-ordered and Fortran-ordered: the 1-d solves
+        take a different ``dtrtrs`` branch for each."""
         f = spd_factorize(random_spd(rng, d))
-        fortran = np.asfortranarray(f.lower)
-        assert f.lower.flags.c_contiguous and (d == 1 or not fortran.flags.c_contiguous)
-        return f, SpdFactor(lower=fortran, logdet=f.logdet, jitter=f.jitter)
+        c_order, fortran = np.ascontiguousarray(f.lower), np.asfortranarray(f.lower)
+        assert c_order.flags.c_contiguous and fortran.flags.f_contiguous
+        assert d == 1 or not (c_order.flags.f_contiguous or fortran.flags.c_contiguous)
+        return [SpdFactor(lower=lower, logdet=f.logdet, jitter=f.jitter)
+                for lower in (c_order, fortran)]
 
-    def test_bitwise_equal_to_solve_triangular(self, rng):
-        # The last size is the benchmark's d = 128 episode with 500 rows.
-        for d, m in ((1, 7), (2, 7), (5, 7), (16, 7), (33, 7), (128, 500)):
+    # The last size is the benchmark's d = 128 episode with 500 rows.
+    SIZES = ((1, 7), (2, 7), (5, 7), (16, 7), (33, 7), (128, 500))
+
+    def test_factorize_returns_fortran_order(self, rng):
+        for d in (1, 2, 16, 128):
+            assert spd_factorize(random_spd(rng, d)).lower.flags.f_contiguous
+
+    def test_many_bitwise_equal_to_right_side_dtrsm(self, rng):
+        for d, m in self.SIZES:
             for f in self.factors(rng, d):
                 pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
+                y = blas.dtrsm(1.0, f.lower, np.asfortranarray(pts - center),
+                               side=1, lower=1, trans_a=1)
+                got = mahalanobis_sq_many(f, pts, center)
+                assert np.array_equal(got, np.einsum("ij,ij->i", y, y))
                 y = solve_triangular(f.lower, (pts - center).T, lower=True, check_finite=False)
-                assert np.array_equal(mahalanobis_sq_many(f, pts, center),
-                                      np.einsum("ij,ij->j", y, y))
+                np.testing.assert_allclose(got, np.einsum("ij,ij->j", y, y), rtol=1e-12, atol=0)
+
+    def test_bitwise_equal_to_solve_triangular(self, rng):
+        for d, m in self.SIZES:
+            for f in self.factors(rng, d):
+                pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
                 y = solve_triangular(f.lower, pts[0] - center, lower=True, check_finite=False)
                 assert mahalanobis_sq(f, pts[0], center) == float(y @ y)
                 y = solve_triangular(f.lower, center, lower=True, check_finite=False)
                 x = solve_triangular(f.lower.T, y, lower=False, check_finite=False)
                 assert np.array_equal(solve_spd(f, center), x)
+
+    def test_inputs_are_not_modified(self, rng):
+        for d, m in ((3, 5), (128, 50)):
+            for f in self.factors(rng, d):
+                pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
+                inputs = (f.lower, pts, center)
+                before = [a.copy() for a in inputs]
+                mahalanobis_sq_many(f, pts, center)
+                mahalanobis_sq(f, pts[0], center)
+                solve_spd(f, center)
+                # Fortran-ordered points are what the solve writes in place.
+                mahalanobis_sq_many(f, np.asfortranarray(pts), center)
+                for a, b in zip(inputs, before):
+                    assert a.tobytes() == b.tobytes()
 
     def test_zero_rows(self, rng):
         for f in self.factors(rng, 4):
@@ -160,14 +193,15 @@ class TestTriangularSolves:
             assert out.shape == (0,) and out.dtype == np.float64
 
     def test_zero_diagonal_raises_factorization_failed(self):
-        f = SpdFactor(lower=np.diag([1.0, 0.0]), logdet=-np.inf, jitter=0.0)
-        v = np.ones(2)
-        with pytest.raises(FactorizationFailed):
-            mahalanobis_sq_many(f, v[None, :], np.zeros(2))
-        with pytest.raises(FactorizationFailed):
-            mahalanobis_sq(f, v, np.zeros(2))
-        with pytest.raises(FactorizationFailed):
-            solve_spd(f, v)
+        for lower in (np.diag([1.0, 0.0]), np.asfortranarray(np.diag([0.0, 1.0]))):
+            f = SpdFactor(lower=lower, logdet=-np.inf, jitter=0.0)
+            v = np.ones(2)
+            with pytest.raises(FactorizationFailed):
+                mahalanobis_sq_many(f, v[None, :], np.zeros(2))
+            with pytest.raises(FactorizationFailed):
+                mahalanobis_sq(f, v, np.zeros(2))
+            with pytest.raises(FactorizationFailed):
+                solve_spd(f, v)
 
 
 class TestStableSoftmax:

@@ -159,10 +159,21 @@ class TestVariableSampler:
         assert rescaled > 0
 
     def test_cap_smaller_than_way_rejected(self):
+        # A cap below way_min can hold no episode: the config rejects it.
+        with pytest.raises(InvalidSpec, match="support_cap 5 cannot hold one example for each"
+                                              " of way_min 8 classes"):
+            VariableSamplerConfig(way_min=8, way_max=8, support_cap=5, seed=0)
+        # A cap at way_min holds some episodes; one whose drawn way is above it fails.
         ds = tagged_dataset(n_classes=8, per_class=30)
-        cfg = VariableSamplerConfig(way_min=8, way_max=8, support_cap=5, seed=0)
-        with pytest.raises(InsufficientExamples):
-            sample_variable(ds, cfg, 0)
+        cfg = VariableSamplerConfig(way_min=5, way_max=8, support_cap=5, seed=0)
+        ways = []
+        for index in range(12):
+            try:
+                ways.append(sample_variable(ds, cfg, index).way)
+            except InsufficientExamples as exc:
+                assert str(exc).startswith("support cap 5 cannot hold one example for each of ")
+                ways.append(None)
+        assert None in ways and 5 in ways
 
     def test_query_shrinks_only_under_scarcity(self):
         # a class with exactly 4 examples yields 3 query + 1 support
@@ -269,7 +280,7 @@ def variable_configs(draw):
         shot_max=draw(st.integers(shot_min, 60)),
         query_per_class=draw(st.integers(1, 15)),
         # Caps near the way make the rescale floor every class at one shot.
-        support_cap=draw(st.integers(1, 120) | st.integers(1, 16)),
+        support_cap=draw(st.integers(way_min, 120) | st.integers(way_min, 16)),
         seed=draw(SEEDS),
     )
 
