@@ -145,8 +145,8 @@ def _dump_episodes_csv(dataset, cfg, n_episodes) -> str:
 def _cmd_sample(args) -> int:
     if args.episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {args.episodes}")
-    dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     cfg = _from_args(_SAMPLERS[args.sampler], args)
+    dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     if args.format == "json":
         text = _dump_episodes_json(dataset, cfg, args.episodes)
     else:
@@ -156,14 +156,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    sampler_cfg = _from_args(_SAMPLERS[args.sampler], args)
+    refine_cfg = _from_args(RefineConfig, args, rule=AssignmentRule(args.rule))
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
-    report = evaluate(
-        dataset,
-        _from_args(_SAMPLERS[args.sampler], args),
-        _from_args(RefineConfig, args, rule=AssignmentRule(args.rule)),
-        args.episodes,
-        parallelism=args.parallelism,
-    )
+    report = evaluate(dataset, sampler_cfg, refine_cfg, args.episodes, parallelism=args.parallelism)
     _write_out(render_report(report, args.format), args.out)
     if args.out is not None:
         print(
@@ -174,10 +170,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     spec = _from_args(AblationSpec, args, rules=tuple(args.rule.split(",")))
     qpc = args.query_per_class[0]
     base_sampler = _from_args(_SAMPLERS[args.sampler], args, query_per_class=qpc)
+    dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     grid = run_ablation(dataset, base_sampler, spec, parallelism=args.parallelism)
     _write_out(render_report(grid, args.format), args.out)
     if args.out is not None:

@@ -168,10 +168,9 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         zb *= np.sqrt(wb)[..., None]
         sigma_k = zb.transpose(0, 2, 1) @ zb / count[..., None]
         lam = (count / (count + 1.0))[..., None]
-        q = lam * sigma_k + (1.0 - lam) * sigma
-        # Symmetrize (kill rounding asymmetry from the matmuls) before adding the
-        # diagonal ridge, so that q + q.T cannot overflow at any finite beta.
-        q = 0.5 * (q + q.transpose(0, 2, 1)) + ridge
+        # The syrk scatter and the symmetrized task covariance are exactly
+        # symmetric, so the blend is too; the ridge goes on last.
+        q = lam * sigma_k + (1.0 - lam) * sigma + ridge
         stacked = _factorize_stack(q)
         if stacked is None:  # some class needs jitter, or q is not finite
             # Rows, weights and beta are finite, so only the scatter overflowed.

@@ -172,25 +172,21 @@ def _trajectory(
     return steps
 
 
-# Set once per pool worker, so the dataset is not pickled into every job.
-_worker_dataset: EmbeddingDataset | None = None
-
-
-def _episode_chunk(episodes) -> list[list[EpisodeOutcome]]:
-    return [_trajectory(_worker_dataset, *episode) for episode in episodes]
+def _episode_chunk(job) -> list[list[EpisodeOutcome]]:
+    """Steps of each episode of a ``(dataset, episodes)`` pool job."""
+    ds, episodes = job
+    return [_trajectory(ds, *episode) for episode in episodes]
 
 
 def _worker(ds: EmbeddingDataset, share, conn) -> None:
     """Body of a pool worker: its share's steps, or the exception that
     stopped them, go back to the caller over the worker's own pipe."""
-    global _worker_dataset
-    _worker_dataset = ds
     try:
         # A forked worker inherits the parent's single thread and sets
         # nothing; one started afresh (spawn, forkserver) begins at the
         # default count.
         _pin_single_blas_thread()
-        result = _episode_chunk(share)
+        result = _episode_chunk((ds, share))
     except Exception as exc:  # raised by the caller, in job order
         result = exc
     conn.send(result)

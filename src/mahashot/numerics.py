@@ -6,10 +6,10 @@ factor held in :class:`SpdFactor` (triangular solves only). This matters
 because few-shot covariance estimates are routinely near-singular.
 
 The kernels are routines of scipy's own compiled wrappers: LAPACK
-``dpotrf`` factorizes, ``dtrtrs`` solves for one vector, and BLAS
-``dtrsm`` solves for the rows of a point matrix from the right, which at
-d = 128 runs several times faster than a left-side ``dtrtrs`` over the
-transposed rows.
+``dpotrf`` factorizes and BLAS ``dtrsm`` runs every triangular solve.
+Distances solve for the rows of a point matrix from the right, so a
+single point is the one-row case of a batch and gets the same bits; the
+factor's memory order does not change any result.
 
 All functions are pure; values are safe to share across workers. The
 private BLAS thread-count helpers at the end are the exception: they set
@@ -66,8 +66,7 @@ def _load_scipy_linalg_extension(name: str, kind: str):
     return module
 
 
-_flapack = _load_scipy_linalg_extension("_flapack", "LAPACK")
-dpotrf, dtrtrs = _flapack.dpotrf, _flapack.dtrtrs
+dpotrf = _load_scipy_linalg_extension("_flapack", "LAPACK").dpotrf
 dtrsm = _load_scipy_linalg_extension("_fblas", "BLAS").dtrsm
 
 
@@ -158,30 +157,15 @@ def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def _solve_lower(f: SpdFactor, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve ``L x = b`` (``L.T x = b`` if transposed) as scipy's solve_triangular does:
-    the same ``dtrtrs`` call from the same extension, without scipy.linalg's import."""
-    lower = f.lower
-    if lower.flags.f_contiguous:
-        x, info = dtrtrs(lower, b, lower=1, trans=int(transposed))
-    else:  # dtrtrs takes Fortran order: solve the transposed system on lower.T
-        x, info = dtrtrs(lower.T, b, lower=0, trans=int(not transposed))
-    if info:
-        raise FactorizationFailed(f"triangular solve failed: dtrtrs info {info}")
-    return x
-
-
 def mahalanobis_sq(f: SpdFactor, a: np.ndarray, b: np.ndarray) -> float:
     """Squared Mahalanobis distance (a - b)^T Q^-1 (a - b).
 
-    Computed as ||L^-1 (a - b)||^2 via a forward triangular solve, which
-    is algebraically the same inner product the two-solve route would
-    produce but is nonnegative by construction.
+    Computed as ||L^-1 (a - b)||^2, nonnegative by construction: the
+    one-row case of :func:`mahalanobis_sq_many`, bit for bit.
     """
     a = _check_vector(f, a, "a")
-    b = _check_vector(f, b, "b")
-    y = _solve_lower(f, a - b)
-    return float(y @ y)
+    _check_vector(f, b, "b")
+    return float(mahalanobis_sq_many(f, a[None, :], b)[0])
 
 
 def mahalanobis_sq_many(f: SpdFactor, points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -204,9 +188,13 @@ def mahalanobis_sq_many(f: SpdFactor, points: np.ndarray, center: np.ndarray) ->
 
 
 def solve_spd(f: SpdFactor, rhs: np.ndarray) -> np.ndarray:
-    """Apply Q^-1 to a vector through the two triangular solves."""
-    rhs = _check_vector(f, rhs, "rhs")
-    return _solve_lower(f, _solve_lower(f, rhs), transposed=True)
+    """Apply Q^-1 to a vector: solve L y = rhs, then L^T x = y, in place on one copy."""
+    x = np.array(_check_vector(f, rhs, "rhs")[:, None], order="F")
+    if not f.lower.diagonal().all():
+        raise FactorizationFailed("triangular solve failed: zero on the factor's diagonal")
+    for trans_a in (0, 1):
+        x = dtrsm(1.0, f.lower, x, lower=1, trans_a=trans_a, overwrite_b=1)
+    return x[:, 0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

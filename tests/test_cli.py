@@ -187,7 +187,6 @@ def test_cli_import_leaves_out_scipy_linalg():
         "from mahashot import numerics\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
         "from scipy.linalg import blas, lapack\n"
-        "assert numerics.dtrtrs is lapack.dtrtrs is lapack._flapack.dtrtrs\n"
         "assert numerics.dpotrf is lapack.dpotrf is lapack._flapack.dpotrf\n"
         "assert numerics.dtrsm is blas.dtrsm is blas._fblas.dtrsm\n"
     )
@@ -457,6 +456,18 @@ class TestExitCodes:
         assert err == f"config error: parallelism must be >= 1, got {parallelism}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "ablate", "sample"])
+    def test_config_error_is_reported_before_the_dataset_is_read(
+        self, tmp_path, capsys, command
+    ):
+        rc = main([command, "--dataset", str(tmp_path / "missing.emb"), "--way-min", "5",
+                   "--support-cap", "3", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: support_cap 3 cannot hold one example for each of way_min 5 classes\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_csv_dataset_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"a,1.0,2.0\nb,3.0,4.0\na,\xff,2.0\nb,1.0,1.0\n")
@@ -513,7 +524,7 @@ class TestExitCodes:
     def test_beta_above_half_the_float64_max_runs(
         self, dataset_path, tmp_path, capsys, command, parallelism
     ):
-        # Finite scatters: the blend must not overflow in its 0.5 * (q + q.T).
+        # Finite scatters: the blend and its ridge must not overflow.
         rc = main([command, "--dataset", str(dataset_path), "--beta", "9e307", "--episodes", "2",
                    "--parallelism", parallelism, "--out", str(tmp_path / "out")])
         assert rc == 0
@@ -575,10 +586,10 @@ class TestExitCodes:
         # caller [2, 3]. The second worker exits without sending a result.
         real = harness._episode_chunk
 
-        def dying(share):
-            if share[0][2] == 1:
+        def dying(job):
+            if job[1][0][2] == 1:
                 os._exit(7)
-            return real(share)
+            return real(job)
 
         monkeypatch.setattr(harness, "_episode_chunk", dying)
         rc = run_eval(dataset_path, tmp_path / "out", ["--episodes", "4", "--parallelism", "3"])

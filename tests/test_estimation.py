@@ -364,6 +364,7 @@ class TestKernelFactorization:
             for got, want in ((p.mu, mu), (p.q, q), (p.sigma_k, sigma_k)):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             assert np.array_equal(p.sigma_k, p.sigma_k.T)
+            assert np.array_equal(p.q, p.q.T)
             assert p.count == pytest.approx(count, rel=1e-12, abs=1e-12)
             f = spd_factorize(p.q)
             assert f.lower.tobytes() == p.q_factor.lower.tobytes()
@@ -465,7 +466,7 @@ class TestKernelFactorization:
 
     @pytest.mark.filterwarnings("error")
     def test_beta_above_half_the_float64_max_is_finite(self, rng):
-        # The ridge goes on after symmetrizing, so q + q.T never sees it.
+        # The ridge goes on last, onto an exactly symmetric blend.
         task = make_task(rng, way=3, shots=2, queries=6, d=4)
         for estimate in (lambda beta: estimate_unweighted(task, beta=beta),
                          lambda beta: estimate_weighted(task, uniform_resp(task), beta=beta)):

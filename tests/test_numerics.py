@@ -130,14 +130,14 @@ class TestMahalanobis:
 
 
 class TestTriangularSolves:
-    """The solves call BLAS and LAPACK directly. ``mahalanobis_sq_many`` must
-    match scipy's ``dtrsm`` on the same operands bit for bit; the 1-d solves
-    must match ``solve_triangular``, the route they share with scipy."""
+    """Every solve calls BLAS ``dtrsm`` directly: each must match scipy's
+    ``dtrsm`` on the same operands bit for bit, and ``solve_triangular``
+    within 1e-12 relative. The 1-d distance is the batched one's one-row
+    case, and no result depends on the factor's memory order."""
 
     @staticmethod
     def factors(rng, d):
-        """The same factor, C-ordered and Fortran-ordered: the 1-d solves
-        take a different ``dtrtrs`` branch for each."""
+        """The same factor, C-ordered and Fortran-ordered."""
         f = spd_factorize(random_spd(rng, d))
         c_order, fortran = np.ascontiguousarray(f.lower), np.asfortranarray(f.lower)
         assert c_order.flags.c_contiguous and fortran.flags.f_contiguous
@@ -167,11 +167,28 @@ class TestTriangularSolves:
         for d, m in self.SIZES:
             for f in self.factors(rng, d):
                 pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
+                y = blas.dtrsm(1.0, f.lower, np.asfortranarray(pts[:1] - center),
+                               side=1, lower=1, trans_a=1)
+                got = mahalanobis_sq(f, pts[0], center)
+                assert got == np.einsum("ij,ij->i", y, y)[0]
                 y = solve_triangular(f.lower, pts[0] - center, lower=True, check_finite=False)
-                assert mahalanobis_sq(f, pts[0], center) == float(y @ y)
+                assert got == pytest.approx(float(y @ y), rel=1e-12, abs=0)
+                y = blas.dtrsm(1.0, f.lower, np.asfortranarray(center[:, None]), lower=1)
+                x = blas.dtrsm(1.0, f.lower, y, lower=1, trans_a=1)[:, 0]
+                got = solve_spd(f, center)
+                assert np.array_equal(got, x)
                 y = solve_triangular(f.lower, center, lower=True, check_finite=False)
                 x = solve_triangular(f.lower.T, y, lower=False, check_finite=False)
-                assert np.array_equal(solve_spd(f, center), x)
+                np.testing.assert_allclose(got, x, rtol=1e-12, atol=0)
+
+    def test_one_row_and_memory_order_give_the_same_bits(self, rng):
+        for d, m in self.SIZES:
+            pair = self.factors(rng, d)  # C-ordered, then Fortran-ordered
+            pts, center = rng.standard_normal((m, d)), rng.standard_normal(d)
+            one_row = [mahalanobis_sq(f, pts[0], center) for f in pair]
+            assert one_row == [mahalanobis_sq_many(f, pts[:1], center)[0] for f in pair]
+            assert one_row[0] == one_row[1]
+            assert np.array_equal(solve_spd(pair[0], center), solve_spd(pair[1], center))
 
     def test_inputs_are_not_modified(self, rng):
         for d, m in ((3, 5), (128, 50)):
