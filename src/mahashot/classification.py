@@ -90,6 +90,7 @@ def bregman_divergence(f: SpdFactor, z: np.ndarray, z_prime: np.ndarray) -> floa
             f"expected vectors of shape ({f.dim},), got {z.shape} and {z_prime.shape}"
         )
     f_z = float(z @ solve_spd(f, z))
-    f_zp = float(z_prime @ solve_spd(f, z_prime))
-    grad = 2.0 * solve_spd(f, z_prime)
+    q_inv_zp = solve_spd(f, z_prime)
+    f_zp = float(z_prime @ q_inv_zp)
+    grad = 2.0 * q_inv_zp
     return f_z - f_zp - float(grad @ (z - z_prime))

@@ -86,6 +86,13 @@ def _from_args(cls, args, **given):
     return cls(**flags, **given)
 
 
+def _check_counts(args, *names: str) -> None:
+    """Reject a count flag below 1 before any dataset is read."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(args, name)}")
+
+
 def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -143,8 +150,7 @@ def _dump_episodes_csv(dataset, cfg, n_episodes) -> str:
 
 
 def _cmd_sample(args) -> int:
-    if args.episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {args.episodes}")
+    _check_counts(args, "episodes")
     cfg = _from_args(_SAMPLERS[args.sampler], args)
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     if args.format == "json":
@@ -156,6 +162,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_counts(args, "episodes", "parallelism")
     sampler_cfg = _from_args(_SAMPLERS[args.sampler], args)
     refine_cfg = _from_args(RefineConfig, args, rule=AssignmentRule(args.rule))
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
@@ -170,9 +177,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_counts(args, "parallelism")
     spec = _from_args(AblationSpec, args, rules=tuple(args.rule.split(",")))
-    qpc = args.query_per_class[0]
-    base_sampler = _from_args(_SAMPLERS[args.sampler], args, query_per_class=qpc)
+    # A sampler config per query count, so that each count is checked before the read.
+    base_sampler, *_ = [
+        _from_args(_SAMPLERS[args.sampler], args, query_per_class=q) for q in args.query_per_class
+    ]
     dataset = ds_io.load_dataset(args.dataset, args.dataset_format)
     grid = run_ablation(dataset, base_sampler, spec, parallelism=args.parallelism)
     _write_out(render_report(grid, args.format), args.out)

@@ -6,8 +6,8 @@ weighted one stacks support and query rows under the responsibilities, so
 it reduces exactly to the former on an empty query set. Each class sums
 only over the rows it gives nonzero weight: O(n d^2) support-only,
 O((n + K m) d^2) weighted, plus padding to each block's longest class.
-Classes are estimated and factorized in stacked blocks of bounded size;
-a block in which some class needs jitter falls back one class at a time.
+Classes are estimated and factorized in stacked blocks of bounded size,
+and each class's Cholesky escalates through the jitter schedule on its own.
 Covariance divisors are population-style (n, not n - 1) throughout.
 
 The shrinkage blend for class k with (soft) count c is
@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Task
-from .errors import DegenerateClass, DimensionMismatch, NonFiniteInput
-# The jitter fallback looks ``spd_factorize`` up here at call time: perfbench's traced run wraps it.
-from .numerics import SpdFactor, _factorize_stack, spd_factorize
+from .errors import DegenerateClass, DimensionMismatch, FactorizationFailed, NonFiniteInput
+# ``spd_factorize`` is unused here. Only perfbench's traced run reads it, to install
+# its factorization hook, until that hook moves to ``_factorize_stack`` (ROADMAP item 2a).
+from .numerics import SpdFactor, _factorize_stack, spd_factorize  # noqa: F401
 
 # Soft class counts below this are useless as divisors; estimation raises
 # DegenerateClass. Refinement never meets it: support rows are one-hot, so
@@ -101,10 +102,6 @@ class Responsibilities:
         return cls(w=w, n_support=task.n_support)
 
     @property
-    def way(self) -> int:
-        return self.w.shape[1]
-
-    @property
     def support(self) -> np.ndarray:
         return self.w[: self.n_support]
 
@@ -171,14 +168,13 @@ def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassPara
         # The syrk scatter and the symmetrized task covariance are exactly
         # symmetric, so the blend is too; the ridge goes on last.
         q = lam * sigma_k + (1.0 - lam) * sigma + ridge
-        stacked = _factorize_stack(q)
-        if stacked is None:  # some class needs jitter, or q is not finite
-            # Rows, weights and beta are finite, so only the scatter overflowed.
+        try:
+            factors = _factorize_stack(q)
+        except FactorizationFailed:
+            # Rows, weights and beta are finite, so only the scatter can overflow.
             if not np.all(np.isfinite(q)):
-                raise NonFiniteInput("embedding scatter overflows float64")
-            factors = [spd_factorize(qk) for qk in q]
-        else:
-            factors = [SpdFactor(lower=f, logdet=float(g), jitter=0.0) for f, g in zip(*stacked)]
+                raise NonFiniteInput("embedding scatter overflows float64") from None
+            raise
         params += [
             ClassParams(mu=mu[b], q=q[b], q_factor=f, count=float(count[b, 0]), sigma_k=sigma_k[b])
             for b, f in enumerate(factors)

@@ -138,6 +138,16 @@ class AblationSpec:
     def __post_init__(self):
         if self.episodes < 1 or self.repeats < 1:
             raise ValueError("episodes and repeats must be >= 1")
+        self._cells()  # each cell's config checks its step bounds, rule and beta
+
+    def _cells(self) -> list[tuple[int, int, str, int, RefineConfig]]:
+        """Each cell's (min_steps, max_steps, rule, query count, refine config), in grid order."""
+        return [
+            (mn, mx, kind, qpc, RefineConfig(min(mn, mx), mx, AssignmentRule(kind), self.beta))
+            for mn, mx, kind, qpc in itertools.product(
+                self.min_steps, self.max_steps, self.rules, self.query_per_class
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -369,13 +379,7 @@ def run_ablation(
     step bounds only decide where a trajectory stops, so cells that differ
     only in them share one.
     """
-    # Every cell's config is built, and so validated, before any episode runs.
-    grid = [
-        (mn, mx, kind, qpc, RefineConfig(min(mn, mx), mx, AssignmentRule(kind), spec.beta))
-        for mn, mx, kind, qpc in itertools.product(
-            spec.min_steps, spec.max_steps, spec.rules, spec.query_per_class
-        )
-    ]
+    grid = spec._cells()
     # One trajectory per (rule, query count, repeat, episode), long enough
     # for every cell: the largest clamped min is min(max(mins), max(maxes)).
     longest_max = max(spec.max_steps, default=1)

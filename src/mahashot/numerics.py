@@ -98,8 +98,8 @@ class SpdFactor:
 def spd_factorize(q: np.ndarray) -> SpdFactor:
     """Factorize a symmetric matrix, escalating through ``DEFAULT_JITTER``.
 
-    Tries Cholesky on ``q + eps * I`` for each ``eps`` in ``DEFAULT_JITTER``
-    in order and returns the factor for the first success.
+    The checked one-matrix case of :func:`_factorize_stack`: the factor of
+    ``q + eps * I`` for the first ``eps`` in ``DEFAULT_JITTER`` that succeeds.
 
     Raises
     ------
@@ -117,35 +117,31 @@ def spd_factorize(q: np.ndarray) -> SpdFactor:
         raise NotSymmetric(
             f"matrix is asymmetric beyond {SYMMETRY_ATOL:g} absolute tolerance"
         )
-    eye = np.eye(q.shape[0])
-    for eps in DEFAULT_JITTER:
-        lower, info = dpotrf(q + eps * eye, lower=1)
-        if info:
-            continue
-        # dpotrf rejects a pivot <= 0 or NaN, so a factor of a finite matrix has a finite logdet.
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-        return SpdFactor(lower=lower, logdet=logdet, jitter=float(eps))
-    raise FactorizationFailed(f"Cholesky failed for all jitter values {DEFAULT_JITTER}")
+    return _factorize_stack(q[None])[0]
 
 
-def _factorize_stack(q: np.ndarray) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """Cholesky factors and log-determinants of a (B, d, d) stack of symmetric
-    matrices, without jitter; None if any matrix fails or has a non-finite logdet.
+def _factorize_stack(q: np.ndarray) -> list[SpdFactor]:
+    """SPD factors of a (B, d, d) stack of symmetric matrices: matrix b is
+    factorized by LAPACK ``dpotrf`` as ``q[b] + eps * I`` for the first
+    ``eps`` in ``DEFAULT_JITTER`` that succeeds. Factors are Fortran-ordered.
 
-    Each matrix goes through the same ``dpotrf`` call as in
-    :func:`spd_factorize`, so each factor and logdet is bit for bit what it
-    returns when no jitter is needed. The factors are Fortran-ordered.
+    Raises ``FactorizationFailed`` if a matrix fails at every ``eps`` or a
+    logdet is not finite (an Inf on a diagonal can pass ``dpotrf``).
     """
-    lower = []
-    for qk in q:
-        factor, info = dpotrf(qk, lower=1)
-        if info:
-            return None
-        lower.append(factor)
-    logdet = 2.0 * np.sum(np.log([f.diagonal() for f in lower]), axis=1)
+    factors = []
+    for qb in q:
+        for eps in DEFAULT_JITTER:
+            # q + 0 * I is q, so the identity is built only for a nonzero ridge.
+            lower, info = dpotrf(qb + eps * np.eye(len(qb)) if eps else qb, lower=1)
+            if not info:
+                break
+        else:
+            raise FactorizationFailed(f"Cholesky failed for all jitter values {DEFAULT_JITTER}")
+        factors.append((lower, eps))
+    logdet = 2.0 * np.sum(np.log([lower.diagonal() for lower, _ in factors]), axis=1)
     if not np.all(np.isfinite(logdet)):
-        return None
-    return lower, logdet
+        raise FactorizationFailed("Cholesky factor has a non-finite log-determinant")
+    return [SpdFactor(lower, float(g), eps) for (lower, eps), g in zip(factors, logdet)]
 
 
 def _check_vector(f: SpdFactor, v: np.ndarray, name: str) -> np.ndarray:

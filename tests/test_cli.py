@@ -456,16 +456,42 @@ class TestExitCodes:
         assert err == f"config error: parallelism must be >= 1, got {parallelism}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["eval", "ablate", "sample"])
+    _CAP_BELOW_WAY = (["--way-min", "5", "--support-cap", "3"],
+                      "support_cap 3 cannot hold one example for each of way_min 5 classes")
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            pytest.param("eval", *_CAP_BELOW_WAY, id="eval"),
+            pytest.param("ablate", *_CAP_BELOW_WAY, id="ablate"),
+            pytest.param("sample", *_CAP_BELOW_WAY, id="sample"),
+            pytest.param("eval", ["--episodes", "0"], "episodes must be >= 1, got 0",
+                         id="eval-episodes"),
+            pytest.param("eval", ["--parallelism", "0"], "parallelism must be >= 1, got 0",
+                         id="eval-parallelism"),
+            pytest.param("ablate", ["--max-steps", "0"],
+                         "max_steps must be >= max(1, min_steps), got 0", id="ablate-max-steps"),
+            pytest.param("ablate", ["--min-steps", "-1"], "min_steps must be >= 0, got -1",
+                         id="ablate-min-steps"),
+            pytest.param("ablate", ["--rule", "bogus"],
+                         "unknown rule kind 'bogus'; expected one of ('mahalanobis-softmax', "
+                         "'gmm')", id="ablate-rule"),
+            pytest.param("ablate", ["--beta", "-1"], "beta must be >= 0 and finite, got -1.0",
+                         id="ablate-beta"),
+            pytest.param("ablate", ["--parallelism", "0"], "parallelism must be >= 1, got 0",
+                         id="ablate-parallelism"),
+            pytest.param("ablate", ["--query-per-class", "10,0"],
+                         "query_per_class and support_cap must be positive",
+                         id="ablate-query-per-class"),
+        ],
+    )
     def test_config_error_is_reported_before_the_dataset_is_read(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys, command, flags, message
     ):
-        rc = main([command, "--dataset", str(tmp_path / "missing.emb"), "--way-min", "5",
-                   "--support-cap", "3", "--out", str(tmp_path / "out")])
+        rc = main([command, "--dataset", str(tmp_path / "missing.emb"), *flags,
+                   "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "config error: support_cap 3 cannot hold one example for each of way_min 5 classes\n"
-        )
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_undecodable_csv_dataset_is_data_error(self, tmp_path, capsys):

@@ -325,7 +325,7 @@ class TestResponsibilities:
     def test_rows_without_columns_rejected(self):
         with pytest.raises(ValueError):  # an empty row cannot sum to 1
             Responsibilities(w=np.zeros((3, 0)), n_support=1)
-        assert Responsibilities(w=np.zeros((0, 3)), n_support=0).way == 3
+        assert Responsibilities(w=np.zeros((0, 3)), n_support=0).w.shape == (0, 3)
 
 
 def random_resp(rng, task):
@@ -399,7 +399,7 @@ class TestKernelFactorization:
     def test_beta_zero_block_with_one_jittered_class(self, rng):
         # With d equal to the support size the task covariance is singular
         # in one direction, and rounding decides which classes factorize
-        # without jitter: the block falls back class by class.
+        # without jitter: within one block, only those that fail get a ridge.
         jitters = []
         for _ in range(10):
             shots = [int(s) for s in rng.integers(1, 4, size=4)]

@@ -282,8 +282,8 @@ class TestAblation:
 
     @pytest.mark.parametrize("axes", [{"min_steps": (-1, 2)}, {"max_steps": (0, 4)}])
     def test_invalid_step_axis_fails_before_any_episode(self, small_ds, refine_calls, axes):
-        spec = AblationSpec(**axes, query_per_class=(5,), episodes=20, repeats=2)
         with pytest.raises(ValueError):
+            spec = AblationSpec(**axes, query_per_class=(5,), episodes=20, repeats=2)
             run_ablation(small_ds, FIXED, spec)
         assert refine_calls == []
 
@@ -525,7 +525,7 @@ class TestBenchmarkHooks:
         hooks = [
             (cli, "evaluate"), (cli, "run_ablation"), (cli, "render_report"),
             (harness, "sample_task"), (harness, "refine"), (harness, "_episode_chunk"),
-            (estimation, "_factorize_stack"), (estimation, "spd_factorize"),
+            (estimation, "_factorize_stack"),
         ]
         for module, name in hooks:
             spy(module, name)
@@ -535,8 +535,13 @@ class TestBenchmarkHooks:
                   "--episodes", "2", "--out", str(tmp_path / "out")]
         assert cli.main(["eval", *common, "--parallelism", "1"]) == 0
         assert cli.main(["ablate", *common, "--repeats", "1", "--parallelism", "2"]) == 0
-        # spd_factorize runs only for classes that need jitter; support-only
-        # estimates with d > n at beta = 0 do.
+        # _episode_chunk runs only in pool workers: check it is what the one
+        # worker ran.
+        assert called == {name for _, name in hooks} - {"_episode_chunk"}
+        assert len(pool_log) == 1
+        assert worker_calls.read_text(encoding="utf-8").split().count("_episode_chunk") == 1
+        # The jitter path: support-only estimates with d > n at beta = 0.
+        called.clear()
         wide = tmp_path / "wide.emb"
         write_dataset(
             generate_synthetic(SyntheticSpec(n_classes=6, dim=12, per_class=20, seed=5)),
@@ -545,11 +550,7 @@ class TestBenchmarkHooks:
         assert cli.main(["eval", "--dataset", str(wide), "--way-min", "3", "--way-max", "3",
                          "--shot-min", "1", "--shot-max", "3", "--beta", "0", "--episodes", "2",
                          "--out", str(tmp_path / "wide_out")]) == 0
-        # _episode_chunk runs only in pool workers: check it is what the one
-        # worker ran.
-        assert called == {name for _, name in hooks} - {"_episode_chunk"}
-        assert len(pool_log) == 1
-        assert worker_calls.read_text(encoding="utf-8").split().count("_episode_chunk") == 1
+        assert "_factorize_stack" in called
 
 
 class TestReportEmission:

@@ -16,7 +16,7 @@ from mahashot import (
     solve_spd,
     spd_factorize,
 )
-from mahashot.numerics import DEFAULT_JITTER, softmax_rows
+from mahashot.numerics import DEFAULT_JITTER, _factorize_stack, softmax_rows
 from conftest import random_spd
 
 
@@ -73,6 +73,23 @@ class TestSpdFactorize:
             spd_factorize(np.ones((2, 3)))
         with pytest.raises(NonFiniteInput):
             spd_factorize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_stack_jitters_each_matrix_on_its_own(self, rng):
+        # Eigenvalue -5e-9 first factorizes at 1e-8; its neighbours need no ridge.
+        rotation = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        indefinite = rotation @ np.diag([1.0, 2.0, -5e-9]) @ rotation.T
+        indefinite = 0.5 * (indefinite + indefinite.T)
+        stack = np.stack([random_spd(rng, 3), indefinite, random_spd(rng, 3)])
+        factors = _factorize_stack(stack)
+        assert [f.jitter for f in factors] == [0.0, 1e-8, 0.0]
+        for q, f in zip(stack, factors):
+            alone = spd_factorize(q)
+            assert np.array_equal(f.lower, alone.lower) and f.logdet == alone.logdet
+            assert f.jitter == alone.jitter
+        # An Inf on a diagonal can pass dpotrf; its logdet cannot pass.
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(FactorizationFailed, match="non-finite log-determinant"):
+            _factorize_stack(stack)
 
 
 class TestMahalanobis:

@@ -303,17 +303,16 @@ def mapped(task, a, b):
 
 @pytest.fixture
 def jitters(monkeypatch):
-    """The jitter of every class the estimator factorized through its
-    jitter fallback."""
+    """The nonzero jitter of every class factor the estimator made."""
     seen = []
-    real = estimation.spd_factorize
+    real = estimation._factorize_stack
 
     def spy(q):
-        factor = real(q)
-        seen.append(factor.jitter)
-        return factor
+        factors = real(q)
+        seen.extend(f.jitter for f in factors if f.jitter != 0.0)
+        return factors
 
-    monkeypatch.setattr(estimation, "spd_factorize", spy)
+    monkeypatch.setattr(estimation, "_factorize_stack", spy)
     return seen
 
 
