@@ -124,6 +124,9 @@ def _blocks(nnz: list[int], d: int):
         k0 = k1
 
 
+# Embeddings near the float64 limit overflow the class scatter, which is
+# raised as NonFiniteInput below; numpy's warning would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _estimate(z: np.ndarray, w: np.ndarray, beta: float) -> tuple[list[ClassParams], TaskStats]:
     """Class parameters and task statistics of rows ``z`` under weights ``w``."""
     if not 0 <= beta < np.inf:

@@ -24,10 +24,12 @@ over its own pipe. Workers follow multiprocessing's process-wide start
 method: under fork nothing is pickled to a worker; under spawn or
 forkserver the dataset and the share are pickled once per worker.
 
-Reports serialize deterministically: fixed key order, floats rendered
-with 17 significant digits. Identical inputs give byte-identical files
-regardless of ``parallelism``, because per-episode results are joined
-in job order and reduced only after all episodes finish.
+Reports serialize deterministically: JSON keys follow the field order of
+the report types (``EvalReport``, ``RecallBin``, ``GridCell``,
+``AblationGrid``), and floats are rendered with 17 significant digits.
+Identical inputs give byte-identical files regardless of ``parallelism``,
+because per-episode results are joined in job order and reduced only
+after all episodes finish.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import json
 import math
 import multiprocessing
 from collections import Counter
+from typing import NamedTuple
 
 # Unused here. Only perfbench's traced run reads it, to install its pool
 # hook, until that hook moves to the worker start (ROADMAP item 2).
@@ -95,17 +98,24 @@ class EpisodeOutcome:
     shot_recalls: tuple[tuple[int, float], ...]  # (class shot, class recall)
 
 
+class RecallBin(NamedTuple):
+    mean: float  # mean recall of the bin's classes
+    count: int  # (episode, class) pairs in the bin
+
+
 @dataclass(frozen=True)
 class EvalReport:
+    """One evaluation; its fields, in order, are the report JSON's keys."""
+
     episodes: int
-    per_episode_accuracy: tuple[float, ...]
     mean_accuracy: float
     ci95: float
-    recall_bins: dict[str, tuple[float, int]]  # bin -> (mean recall, count)
-    iteration_histogram: dict[int, int]
     converged_early_rate: float
     method: str
     config: dict
+    iteration_histogram: dict[int, int]
+    recall_bins: dict[str, RecallBin]
+    per_episode_accuracy: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -163,10 +173,7 @@ def _trajectory(
     had it stopped after iteration t, with the trace's repeat flag for t."""
     try:
         task = sample_task(ds, sampler_cfg, index)
-        # Embeddings near the float64 limit overflow the class scatter, which
-        # estimation reports as NonFiniteInput; numpy's warning would repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = refine(task, refine_cfg)
+        trace = refine(task, refine_cfg)
     except MahashotError as exc:
         raise EpisodeFailure(index, exc) from exc
     shots = task.class_counts()
@@ -284,7 +291,8 @@ def _aggregate(outcomes: list[EpisodeOutcome]) -> EvalReport:
             counts[b] += 1
     labels = [str(b) for b in range(SHOT_BIN_MAX + 1)] + [f">{SHOT_BIN_MAX}"]
     recall_bins = {
-        labels[b]: (totals[b] / counts[b], counts[b]) for b in range(len(counts)) if counts[b]
+        labels[b]: RecallBin(totals[b] / counts[b], counts[b])
+        for b in range(len(counts)) if counts[b]
     }
     histogram = dict(sorted(Counter(o.iterations_run for o in outcomes).items()))
 
@@ -423,7 +431,13 @@ def _float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _object(items) -> str:
+    return "{" + ",".join(f"{json.dumps(str(k))}:{_to_json(v)}" for k, v in items) + "}"
+
+
 def _to_json(value) -> str:
+    """JSON text of ``value``: a dataclass or named tuple is an object of
+    its fields, in declaration order, and a dict keeps its key order."""
     if value is None:
         return "null"
     if isinstance(value, (int, np.integer)):
@@ -432,45 +446,15 @@ def _to_json(value) -> str:
         return _float_repr(value)
     if isinstance(value, str):
         return json.dumps(value)
+    if dataclasses.is_dataclass(value):
+        return _object((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
+        return _object(zip(value._fields, value))
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in value) + "]"
     if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}:{_to_json(v)}" for k, v in value.items())
-        return "{" + ",".join(items) + "}"
+        return _object(value.items())
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """Fixed-key-order dict form of a report (the JSON schema)."""
-    return {
-        "episodes": report.episodes,
-        "mean_accuracy": report.mean_accuracy,
-        "ci95": report.ci95,
-        "converged_early_rate": report.converged_early_rate,
-        "method": report.method,
-        "config": report.config,
-        "iteration_histogram": {str(k): v for k, v in report.iteration_histogram.items()},
-        "recall_bins": {
-            k: {"mean": m, "count": c} for k, (m, c) in report.recall_bins.items()
-        },
-        "per_episode_accuracy": list(report.per_episode_accuracy),
-    }
-
-
-def grid_to_dict(grid: AblationGrid) -> dict:
-    return {
-        "axes": grid.axes,
-        "cells": [
-            {
-                "min_steps": c.min_steps,
-                "max_steps": c.max_steps,
-                "rule": c.rule,
-                "query_per_class": c.query_per_class,
-                "report": report_to_dict(c.report),
-            }
-            for c in grid.cells
-        ],
-    }
 
 
 def _cell_row(cell: GridCell) -> list[str]:
@@ -493,14 +477,14 @@ def _report_as_single_cell(report: EvalReport) -> GridCell:
 def render_report(obj: EvalReport | AblationGrid, format: str) -> str:
     """Deterministic JSON or CSV text for a report or grid.
 
-    JSON carries the full report schema; CSV is one row per grid cell
-    (a lone report is treated as a single-cell grid).
+    JSON is the report or grid object itself, its fields as keys in
+    declaration order; CSV is one row per grid cell (a lone report is
+    treated as a single-cell grid).
     """
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
     if format == "json":
-        payload = report_to_dict(obj) if isinstance(obj, EvalReport) else grid_to_dict(obj)
-        return _to_json(payload) + "\n"
+        return _to_json(obj) + "\n"
     cells = [_report_as_single_cell(obj)] if isinstance(obj, EvalReport) else list(obj.cells)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

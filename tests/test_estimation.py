@@ -449,7 +449,10 @@ class TestKernelFactorization:
             )
             self.both_estimators(rng, doubled, beta)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_embeddings_raise_non_finite(self, rng):
+        # The estimator silences numpy's overflow warnings itself, so a
+        # library call raises only NonFiniteInput.
         task = make_task(rng, way=3, shots=2, queries=6, d=4)
         huge = Task(
             support_z=task.support_z * 1e200,
@@ -458,11 +461,12 @@ class TestKernelFactorization:
             truth=task.truth,
             way=task.way,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteInput):
-                estimate_unweighted(huge)
-            with pytest.raises(NonFiniteInput):
-                refine(huge, RefineConfig())
+        with pytest.raises(NonFiniteInput):
+            estimate_unweighted(huge)
+        with pytest.raises(NonFiniteInput):
+            estimate_weighted(huge, uniform_resp(huge))
+        with pytest.raises(NonFiniteInput):
+            refine(huge, RefineConfig())
 
     @pytest.mark.filterwarnings("error")
     def test_beta_above_half_the_float64_max_is_finite(self, rng):

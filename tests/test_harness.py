@@ -388,6 +388,20 @@ GOLDEN_ABLATE = [
     "--seed", "21", "--format", "json",
 ]
 
+# sha256 of the JSON and CSV reports GOLDEN_EVAL writes, recorded while the
+# JSON schema was still a hand-written dict beside the report types.
+GOLDEN_EVAL_SHA256 = {
+    "json": "3e37e95444fdafb66f037abf9d2fc87c85b7e217bc4dfd76dfc007be448a6ad2",
+    "csv": "28ce0e6a508a5f3328028c4daa10a7cf3cc3beb9ddf1a6eb9ec950fc2af3dcab",
+}
+
+# Variable way and shot (recall bins 1, 2 and 3), gmm and beta 0: some class
+# matrices of these episodes need jitter.
+GOLDEN_EVAL = [
+    "eval", "--way-min", "2", "--way-max", "4", "--shot-max", "3", "--query-per-class", "5",
+    "--rule", "gmm", "--beta", "0", "--episodes", "6", "--seed", "0",
+]
+
 
 class TestReduce:
     @pytest.mark.parametrize("parallelism", ["1", "2"])
@@ -397,6 +411,15 @@ class TestReduce:
         argv = [*GOLDEN_ABLATE, "--dataset", str(path), "--parallelism", parallelism]
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    @pytest.mark.parametrize("format", ["json", "csv"])
+    def test_eval_report_keeps_its_bytes(self, small_ds, tmp_path, format, parallelism):
+        path, out = tmp_path / "ds.emb", tmp_path / f"report.{format}"
+        write_dataset(small_ds, path, "packed-binary")
+        argv = [*GOLDEN_EVAL, "--dataset", str(path), "--parallelism", parallelism]
+        assert cli.main([*argv, "--format", format, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EVAL_SHA256[format]
 
     def test_cells_share_no_mutable_part(self, small_ds):
         grid = run_ablation(small_ds, FIXED, DERIVATION_SPEC)
